@@ -20,6 +20,9 @@ for name in ("L2", "N3", "doubleL2"):
           f"(kept basis classes {[k + 1 for k in kept]})")
     ha0 = homology(alg, max_degree=2)["HA"][0]
     print(f"    HA_0 = {ha0}  (= quotient dimension)")
+    # the ideal's reduced echelon basis, as sparse rows {column: value}
+    shown = [{col: str(c) for col, c in row.items()} for row in rows]
+    print(f"    ideal basis rows {shown}, pivot columns {pivots}")
 
 # sl2 is already Lie, so the quotient is sl2 itself...
 sl2 = catalog.get("sl2")

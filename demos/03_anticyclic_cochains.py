@@ -11,7 +11,7 @@ from leibcx import catalog
 from leibcx.cochains import (anti_cyclic_basis, classify_extension,
                              coboundary_matrix_on_anti_cyclic, cohomology,
                              from_implicit, is_anti_cyclic, to_implicit)
-from leibcx.complexes import boundary_matrix, homology
+from leibcx.complexes import boundary_matrix, free_lie_basis, homology
 from leibcx.exactla import transpose
 
 L2 = catalog.get("L2")
@@ -31,10 +31,12 @@ print("round trip reproduces the cochain:",
       from_implicit(vec, 2, 1) == A)
 
 # The coboundary matrix in implicit coordinates is the transposed
-# boundary matrix of the chain complex.
+# boundary matrix of the chain complex.  Both are lists of sparse
+# columns {row: value}; the transpose needs the row count, dim F^(n+1).
 for degree in (0, 1, 2):
     mat, preserved = coboundary_matrix_on_anti_cyclic(L2, degree)
-    same = mat == transpose(boundary_matrix(L2, degree + 2))
+    rows = free_lie_basis(2, degree + 1).dim
+    same = mat == transpose(boundary_matrix(L2, degree + 2), rows)
     print(f"degree {degree}: subspace preserved: {preserved}, "
           f"matrix == boundary transpose: {same}")
 

@@ -18,7 +18,7 @@ canonical symplectic-style pairing, optional twisting by a scalar
 from fractions import Fraction
 
 from .errors import InputError
-from .exactla import SparseEchelon, rref
+from .exactla import rref
 
 
 class LeibnizAlgebra:
@@ -134,7 +134,7 @@ def require_leibniz(algebra):
 
 
 def symmetric_ideal(algebra):
-    """RREF basis (rows over columns 0..dim-1) of span{[x,y] + [y,x]}.
+    """RREF basis of span{[x,y] + [y,x]}: sparse rows over columns 0..dim-1.
 
     This span is automatically a two-sided ideal acting trivially on the
     left, so no closure pass is needed.
@@ -151,8 +151,7 @@ def symmetric_ideal(algebra):
                     v.pop(k, None)
             if v:
                 rows.append({k - 1: Fraction(c) for k, c in v.items()})
-    reduced, pivots = rref(rows, algebra.dim)
-    return reduced, pivots
+    return rref(rows)
 
 
 def liezation(algebra):
@@ -176,13 +175,12 @@ def liezation(algebra):
         for rowi, p in enumerate(pivots):
             c = work.get(p, 0)
             if c:
-                for col, v in enumerate(ideal[rowi]):
-                    if v:
-                        nv = work.get(col, 0) - c * v
-                        if nv:
-                            work[col] = nv
-                        else:
-                            work.pop(col, None)
+                for col, v in ideal[rowi].items():
+                    nv = work.get(col, 0) - c * v
+                    if nv:
+                        work[col] = nv
+                    else:
+                        work.pop(col, None)
         return {pos[j] + 1: c for j, c in work.items() if c}
 
     # qdim = 0 would force [g,g] = [I,g] = 0, hence I = 0: impossible

@@ -172,12 +172,13 @@ def _suite_complex(algebra, name, N):
 
 def _suite_subcomplex(algebra, name, N):
     from .cochains import coboundary_matrix_on_anti_cyclic
-    from .complexes import boundary_matrix
+    from .complexes import boundary_matrix, free_lie_basis
     from .exactla import transpose
     out = {}
     for n in range(0, max(1, N - 1)):
         mat, preserved = coboundary_matrix_on_anti_cyclic(algebra, n)
-        expected = transpose(boundary_matrix(algebra, n + 2))
+        expected = transpose(boundary_matrix(algebra, n + 2),
+                             free_lie_basis(algebra.dim, n + 1).dim)
         out[f"anti_cyclic_preserved_degree_{n}"] = preserved
         out[f"coboundary_is_transpose_degree_{n}"] = (mat == expected)
     subs = _catalog.lie_subalgebras(name) if name else ()

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError
-from .exactla import SparseEchelon, nullspace, rank
+from .exactla import SparseEchelon, nullspace, rank, transpose
 from .words import _add_term, embedded_word
 from .complexes import boundary_word_terms, free_lie_basis
 
@@ -237,19 +237,25 @@ def lp_coboundary(algebra, cochain):
     return Cochain(a + 1, m, out)
 
 
+def _anti_cyclic_defect(values, word):
+    """arity * V(w) - V(expansion of {w}) for vector values V.
+
+    values maps the words of one length to vectors {key: Fraction}, one
+    cochain per key; the cochain of key k is anti-cyclic exactly when k
+    appears in no word's defect.
+    """
+    out = {k: len(word) * c for k, c in values.get(word, {}).items()}
+    for tw, k in embedded_word(word).items():
+        for i, c in values.get(tw, {}).items():
+            _add_term(out, i, -k * c)
+    return out
+
+
 def is_anti_cyclic(cochain):
     """A(w) equals 1/arity times A evaluated on the expansion of {w}."""
-    a = cochain.arity
-    factor = Fraction(1, a)
-    for w in _all_words(cochain.dim, a):
-        total = Fraction(0)
-        for tw, k in embedded_word(w).items():
-            v = cochain.coeffs.get(tw)
-            if v:
-                total += k * v
-        if cochain.coefficient(w) != factor * total:
-            return False
-    return True
+    values = {w: {0: c} for w, c in cochain.coeffs.items()}
+    return not any(_anti_cyclic_defect(values, w)
+                   for w in _all_words(cochain.dim, cochain.arity))
 
 
 @lru_cache(maxsize=None)
@@ -308,25 +314,31 @@ def from_implicit(vector, m, degree):
 def coboundary_matrix_on_anti_cyclic(algebra, degree):
     """Matrix of the coboundary on the anti-cyclic space, implicit coords.
 
-    Columns run over the degree-n basis cochains, rows over the basis of
-    F^(n+2).  Returns (matrix, preserved) where preserved records that
-    every coboundary landed back in the anti-cyclic space.
+    Sparse columns run over the degree-n basis cochains A_k, rows over
+    the basis of F^(n+2).  Returns (columns, preserved) where preserved
+    records that every coboundary landed back in the anti-cyclic space;
+    the column of a cochain whose coboundary left it stays empty.
+
+    (b A_k)(w) = A_k(del w) is the k-th coordinate of del w over F^(n+1),
+    so one expansion per word w of length n+2 gives every b A_k at once.
     """
     m = algebra.dim
-    basis = anti_cyclic_basis(m, degree)
-    nrows = free_lie_basis(m, degree + 2).dim
-    mat = [[Fraction(0)] * len(basis) for _ in range(nrows)]
-    preserved = True
-    for col, a in enumerate(basis):
-        ba = lp_coboundary(algebra, a)
-        if not is_anti_cyclic(ba):
-            preserved = False
-            continue
-        vec = to_implicit(ba, check=False)
-        for r, c in enumerate(vec):
-            if c:
-                mat[r][col] = c
-    return mat, preserved
+    length = degree + 2
+    dst = free_lie_basis(m, length - 1)
+    values = {}
+    for w in _all_words(m, length):
+        terms = boundary_word_terms(algebra, w, "alt")
+        if terms:
+            values[w] = dst.coords(terms)
+    broken = set()
+    for w in _all_words(m, length):
+        broken.update(_anti_cyclic_defect(values, w))
+    cols = [{} for _ in range(dst.dim)]
+    for r, b in enumerate(free_lie_basis(m, length).words):
+        for k, c in values.get(b, {}).items():
+            if k not in broken:
+                cols[k][r] = c
+    return cols, not broken
 
 
 def cohomology(algebra, max_degree=4):
@@ -341,10 +353,7 @@ def cohomology(algebra, max_degree=4):
     ranks = {}
     preserved = {}
     for n in range(0, N - 1):
-        mat, ok = coboundary_matrix_on_anti_cyclic(algebra, n)
-        preserved[n] = ok
-        cols = [{r: mat[r][c] for r in range(len(mat)) if mat[r][c]}
-                for c in range(len(mat[0]) if mat else 0)]
+        cols, preserved[n] = coboundary_matrix_on_anti_cyclic(algebra, n)
         ranks[n] = rank(cols)
     ha = {}
     for n in range(0, N - 1):
@@ -377,13 +386,12 @@ def classify_extension(algebra, hcochain):
     b1, _ = coboundary_matrix_on_anti_cyclic(algebra, 1)
     b2, _ = coboundary_matrix_on_anti_cyclic(algebra, 2)
     ech = SparseEchelon(track=True)
-    ncob = len(b1[0]) if b1 else 0
-    for col in range(ncob):
-        ech.insert({r: b1[r][col] for r in range(len(b1)) if b1[r][col]})
+    for col in b1:
+        ech.insert(col)
     extension = []
-    for z in nullspace(b2, len(v)):
+    for z in nullspace(transpose(b2, free_lie_basis(m, 4).dim), len(v)):
         src = ech.nsources
-        if ech.insert({i: c for i, c in enumerate(z) if c}):
+        if ech.insert(z):
             extension.append(src)
     coords = ech.coordinates({i: c for i, c in enumerate(v) if c})
     if coords is None:

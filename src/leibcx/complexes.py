@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError
-from .exactla import SparseEchelon, matmul, nullspace, rank
+from .exactla import SparseEchelon, nullspace, rank, transpose
 from .words import (LieElement, TensorElement, _add_term, embedded_word,
                     super_commutator)
 
@@ -140,21 +140,20 @@ def boundary_apply(algebra, element, variant="main"):
 
 
 def boundary_matrix(algebra, n, variant="main"):
-    """Dense matrix of del: F^n -> F^(n-1), target rows x source cols."""
+    """Matrix of del: F^n -> F^(n-1) as sparse columns.
+
+    Column j is {row: Fraction}, the coordinates over the basis of
+    F^(n-1) of del applied to the j-th basis word of F^n.
+    """
     if n < 2:
         raise InputError("boundary matrices start at degree 2")
     m = algebra.dim
-    src = free_lie_basis(m, n)
     dst = free_lie_basis(m, n - 1)
-    mat = [[Fraction(0)] * src.dim for _ in range(dst.dim)]
-    for col, w in enumerate(src.words):
+    cols = []
+    for w in free_lie_basis(m, n).words:
         terms = boundary_word_terms(algebra, w, variant)
-        if not terms:
-            continue
-        coords = dst.coords(terms)
-        for row, c in coords.items():
-            mat[row][col] = c
-    return mat
+        cols.append(dst.coords(terms) if terms else {})
+    return cols
 
 
 def loday_apply(algebra, element):
@@ -171,17 +170,14 @@ def tensor_words(m, n):
 
 
 def loday_matrix(algebra, n):
-    """Dense matrix of del_L: T^n -> T^(n-1)."""
+    """Matrix of del_L: T^n -> T^(n-1) as sparse columns over lex words."""
     if n < 2:
         raise InputError("tensor boundary matrices start at degree 2")
     m = algebra.dim
-    src = tensor_words(m, n)
     dst = {w: i for i, w in enumerate(tensor_words(m, n - 1))}
-    mat = [[Fraction(0)] * len(src) for _ in dst]
-    for col, w in enumerate(src):
-        for nw, c in boundary_word_terms(algebra, w, "loday").items():
-            mat[dst[nw]][col] = c
-    return mat
+    return [{dst[nw]: c for nw, c in
+             boundary_word_terms(algebra, w, "loday").items()}
+            for w in tensor_words(m, n)]
 
 
 def boundary_square_report(algebra, max_degree=5):
@@ -252,10 +248,7 @@ def homology(algebra, max_degree=4, loday=False):
     dims = {n: free_lie_basis(m, n).dim for n in range(1, N + 1)}
     ranks = {}
     for n in range(2, N + 1):
-        mat = boundary_matrix(algebra, n)
-        cols = [{r: mat[r][c] for r in range(len(mat)) if mat[r][c]}
-                for c in range(dims[n])]
-        ranks[n] = rank(cols)
+        ranks[n] = rank(boundary_matrix(algebra, n))
     ha = {}
     for n in range(0, N - 1):
         r_in = ranks.get(n + 2, 0)
@@ -266,9 +259,7 @@ def homology(algebra, max_degree=4, loday=False):
         tdims = {n: m ** n for n in range(1, N + 1)}
         tranks = {}
         for n in range(2, N + 1):
-            mat = loday_matrix(algebra, n)
-            tranks[n] = rank([{r: mat[r][c] for r in range(len(mat))
-                               if mat[r][c]} for c in range(tdims[n])])
+            tranks[n] = rank(loday_matrix(algebra, n))
         hl = {}
         for n in range(0, N - 1):
             r_in = tranks.get(n + 2, 0)
@@ -314,10 +305,9 @@ def omega0(algebra):
 
 
 def kernel2_basis(algebra):
-    """Canonical basis of Ker(del_2) in F^2 coordinates."""
-    mat = boundary_matrix(algebra, 2)
-    dim2 = free_lie_basis(algebra.dim, 2).dim
-    return nullspace(mat, dim2)
+    """Canonical basis of Ker(del_2) in F^2 coordinates, sparse vectors."""
+    cols = boundary_matrix(algebra, 2)
+    return nullspace(transpose(cols, algebra.dim), len(cols))
 
 
 def ker2_invariance(algebra, subalgebra):
@@ -330,15 +320,13 @@ def ker2_invariance(algebra, subalgebra):
     """
     from .algebras import require_leibniz
     require_leibniz(algebra)
-    m = algebra.dim
-    slice2 = free_lie_basis(m, 2)
+    slice2 = free_lie_basis(algebra.dim, 2)
     kernel = SparseEchelon()
     for vec in kernel2_basis(algebra):
-        kernel.insert({i: c for i, c in enumerate(vec) if c})
+        kernel.insert(vec)
     image = SparseEchelon()
-    b3 = boundary_matrix(algebra, 3)
-    for col in range(free_lie_basis(m, 3).dim):
-        image.insert({r: b3[r][col] for r in range(len(b3)) if b3[r][col]})
+    for col in boundary_matrix(algebra, 3):
+        image.insert(col)
     kernel_failures = []
     for u in subalgebra:
         for v in subalgebra:
@@ -553,13 +541,11 @@ class DGLA:
         for n, coords in a.parts.items():
             if n < 2:
                 continue
-            mat = self._bmat[n]
+            cols = self._bmat[n]
             tgt = parts.setdefault(n - 1, {})
             for col, c in coords.items():
-                for r in range(len(mat)):
-                    v = mat[r][col]
-                    if v:
-                        _add_term(tgt, r, c * v)
+                for r, v in cols[col].items():
+                    _add_term(tgt, r, c * v)
         return DRElement(gl, parts)
 
     def parity(self, element):
@@ -681,7 +667,7 @@ def dgla_suite(algebra, max_degree=4):
 
     fails = []
     for row in dg.ideal_rows:
-        vec = {i + 1: c for i, c in enumerate(row) if c}
+        vec = {i + 1: c for i, c in row.items()}
         for n in range(1, N + 1):
             for p in range(dg.slices[n].dim):
                 if dg.act(vec, n, {p: Fraction(1)}):

@@ -8,8 +8,9 @@ loop.  With track=True each accepted row also carries its expression as
 an exact rational combination of the inserted source vectors, which is
 what coordinate recovery (membership certificates) uses.
 
-Dense routines (rref, nullspace) use plain Fractions; they only run on
-small matrices where canonical output matters more than speed.
+A matrix is a list of such vectors: the columns for boundary maps, the
+rows where rref and nullspace say so.  rref and nullspace are thin
+canonical read-outs of a SparseEchelon; they return sparse rows too.
 """
 
 from fractions import Fraction
@@ -168,96 +169,71 @@ class SparseEchelon:
         return out
 
 
-def rank(rows):
-    """Rank of a list of sparse vectors (dicts)."""
+def _echelon(rows):
     ech = SparseEchelon()
     for r in rows:
         ech.insert(r)
-    return ech.rank
+    return ech
 
 
-def rref(rows, ncols=None):
-    """Dense reduced row echelon form over Fraction.
+def rank(rows):
+    """Rank of a list of sparse vectors (dicts)."""
+    return _echelon(rows).rank
 
-    rows: list of dicts or lists.  Returns (reduced_rows, pivot_cols)
-    where reduced_rows is a list of lists of Fractions (zero rows
-    dropped) and pivot_cols the sorted pivot column indices.
+
+def rref(rows):
+    """Reduced row echelon form of a list of sparse rows.
+
+    Returns (reduced_rows, pivot_cols): the nonzero rows of the RREF as
+    {col: Fraction} dicts, each with entry 1 at its pivot, in increasing
+    pivot order, and the sorted pivot column indices.  The RREF is
+    unique, so it does not depend on the order of the input rows.
     """
-    if ncols is None:
-        ncols = 0
-        for r in rows:
-            if isinstance(r, dict):
-                ncols = max(ncols, max(r, default=-1) + 1)
-            else:
-                ncols = max(ncols, len(r))
-    mat = []
-    for r in rows:
-        if isinstance(r, dict):
-            mat.append([Fraction(r.get(j, 0)) for j in range(ncols)])
-        else:
-            row = [Fraction(x) for x in r]
-            row += [Fraction(0)] * (ncols - len(row))
-            mat.append(row)
-    pivots = []
-    rrow = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(rrow, len(mat)):
-            if mat[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        mat[rrow], mat[sel] = mat[sel], mat[rrow]
-        inv = 1 / mat[rrow][col]
-        mat[rrow] = [x * inv for x in mat[rrow]]
-        for i in range(len(mat)):
-            if i != rrow and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rrow])]
-        pivots.append(col)
-        rrow += 1
-        if rrow == len(mat):
-            break
-    return mat[:rrow], pivots
+    ech = _echelon(rows)
+    pivots = sorted(ech.pivots)
+    reduced = {}
+    # a row only has entries at or right of its pivot, so clearing the
+    # later pivots from right to left leaves every row fully reduced
+    for p in reversed(pivots):
+        row = ech.rows[ech.pivots[p]]
+        red = {i: Fraction(c, row[p]) for i, c in row.items()}
+        for q in [i for i in red if i in reduced]:
+            c = red[q]
+            for i, v in reduced[q].items():
+                nv = red.get(i, 0) - c * v
+                if nv:
+                    red[i] = nv
+                else:
+                    red.pop(i, None)
+        reduced[p] = red
+    return [reduced[p] for p in pivots], pivots
 
 
 def nullspace(rows, ncols):
     """Canonical basis of the right kernel of the matrix given by rows.
 
-    Returns a list of length-ncols Fraction lists, one per free column,
-    each having entry 1 at its free column.
+    Returns one sparse vector per free column, in column order, with
+    entry 1 at its free column.
     """
-    red, pivots = rref(rows, ncols)
+    red, pivots = rref(rows)
     pivset = set(pivots)
-    free = [j for j in range(ncols) if j not in pivset]
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for rowi, p in enumerate(pivots):
-            v[p] = -red[rowi][f]
+    for f in range(ncols):
+        if f in pivset:
+            continue
+        v = {f: Fraction(1)}
+        for row, p in zip(red, pivots):
+            c = row.get(f)
+            if c:
+                v[p] = -c
         basis.append(v)
     return basis
 
 
-def matmul(a, b):
-    """Product of dense matrices (lists of lists of Fractions)."""
-    if not a or not b:
-        return []
-    n = len(b)
-    out = []
-    for row in a:
-        out.append([sum(row[k] * b[k][j] for k in range(n))
-                    for j in range(len(b[0]))])
+def transpose(cols, nrows):
+    """Transpose of a matrix with nrows rows; columns in, columns out."""
+    out = [{} for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            out[i][j] = c
     return out
-
-
-def transpose(mat):
-    if not mat:
-        return []
-    return [list(col) for col in zip(*mat)]
-
-
-def is_zero_matrix(mat):
-    return all(not x for row in mat for x in row)

@@ -32,7 +32,7 @@ _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
 
 
 def rational_from_string(s):
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str) or not _RATIONAL_RE.match(s):
         raise InputError(
@@ -144,7 +144,7 @@ def parse_cochain_doc(doc, where="cochain"):
     if dim < 1:
         raise InputError(f"{where}: dim must be >= 1")
     degree = doc.get("degree", 2)
-    if not isinstance(degree, int) or degree < 1:
+    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise InputError(f"{where}: degree must be a positive integer")
     arity = degree + 1
     entries = doc.get("coefficients", [])

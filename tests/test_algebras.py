@@ -42,7 +42,7 @@ def test_bracket_vectors():
 
 def test_symmetric_ideal_frozen():
     rows, pivots = symmetric_ideal(catalog.get("L2"))
-    assert rows == [[Fraction(0), Fraction(1)]] and pivots == [1]
+    assert rows == [{1: Fraction(1)}] and pivots == [1]
     rows, pivots = symmetric_ideal(catalog.get("N3"))
     assert pivots == [1, 2]
     rows, pivots = symmetric_ideal(catalog.get("sl2"))

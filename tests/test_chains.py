@@ -97,7 +97,7 @@ def test_loday_matrix_rank_l2():
     L2 = catalog.get("L2")
     mat = loday_matrix(L2, 2)
     # del_L(x (x) y) = [x, y]; image is [g, g] = span{e2}
-    nonzero = [c for row in mat for c in row if c]
+    nonzero = [c for col in mat for c in col.values() if c]
     assert nonzero == [Fraction(1)]
 
 

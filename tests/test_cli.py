@@ -138,7 +138,7 @@ def test_double_with_cocycle(tmp_path, capsys):
 def test_rational_strings():
     assert rational_from_string("3/4") == 0.75
     assert rational_from_string("-2") == -2
-    for bad in ("3/0", "3/-4", "1.5", "a", "2/4/8", ""):
+    for bad in ("3/0", "3/-4", "1.5", "a", "2/4/8", "", True, False):
         with pytest.raises(InputError):
             rational_from_string(bad)
     assert rational_to_string(rational_from_string("-6/4")) == "-3/2"
@@ -159,6 +159,8 @@ def test_algebra_doc_validation():
                                  "value": [[2, "1"], [2, "3"]]}]},
         {"dim": 2, "brackets": [{"left": 1, "right": 1, "value": [[2, "1/0"]]}]},
         {"dim": 2, "basis": ["x"], "brackets": []},
+        {"dim": 2, "brackets": [{"left": 1, "right": 1,
+                                 "value": [[2, True]]}]},
     ]
     for doc in bad_cases:
         with pytest.raises(InputError):
@@ -174,6 +176,8 @@ def test_cochain_doc_validation():
         {"dim": 2, "coefficients": [[[1, 1, 3], "1"]]},     # out of range
         {"dim": 2, "coefficients": [[[1, 1, 2], "1"],
                                     [[1, 1, 2], "2"]]},     # duplicate
+        {"degree": True, "dim": 2, "coefficients": [[[1, 1], "1"]]},
+        {"dim": 2, "coefficients": [[[1, 1, 2], True]]},
     ]
     for doc in bad_cases:
         with pytest.raises(InputError):

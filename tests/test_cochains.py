@@ -110,8 +110,15 @@ def test_coboundary_transpose_identity():
         for degree in (0, 1, 2):
             mat, preserved = coboundary_matrix_on_anti_cyclic(A, degree)
             assert preserved, (name, degree)
-            assert mat == transpose(boundary_matrix(A, degree + 2)), \
+            nrows = free_lie_basis(A.dim, degree + 1).dim
+            assert mat == transpose(boundary_matrix(A, degree + 2), nrows), \
                 (name, degree)
+            # reference: the coboundary of each basis cochain on its own
+            for k, a in enumerate(anti_cyclic_basis(A.dim, degree)):
+                ba = lp_coboundary(A, a)
+                assert is_anti_cyclic(ba), (name, degree, k)
+                col = {r: c for r, c in enumerate(to_implicit(ba)) if c}
+                assert col == mat[k], (name, degree, k)
 
 
 def test_cohomology_matches_homology():

@@ -1,0 +1,89 @@
+"""Golden gate: canonical CLI output, byte for byte, on every catalog entry.
+
+Each case runs ``leibcx.cli.main`` in process with ``--format json`` and
+compares stdout and the exit code with the files under tests/golden/.
+Refactors of the internals must leave every case unchanged.
+
+Record the files again (only when an output change is intended) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+
+import pytest
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+NAMES = ("abelian1", "abelian2", "abelian3", "abelian4", "L2", "N3", "sl2",
+         "heis3", "doubleL2", "B1")
+
+COMMANDS = (
+    ("validate",),
+    ("liezation",),
+    ("homology", "--loday"),
+    ("cohomology",),
+    ("omega0",),
+    ("double",),
+    ("dr", "--max-degree", "3"),
+    ("check", "--suite", "subcomplex"),
+    ("check", "--suite", "anticyclic"),
+)
+
+CASES = [(name, cmd) for name in NAMES for cmd in COMMANDS]
+
+
+def _slug(cmd):
+    return "_".join(part.lstrip("-") for part in cmd)
+
+
+def _run(name, cmd):
+    from leibcx.cli import main
+    argv = [cmd[0], f"catalog:{name}", *cmd[1:], "--format", "json"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return out.getvalue(), code
+
+
+def _exit_codes():
+    with open(os.path.join(GOLDEN, "exit_codes.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("name,cmd", CASES,
+                         ids=[f"{n}-{_slug(c)}" for n, c in CASES])
+def test_golden_output(name, cmd):
+    key = f"{name}/{_slug(cmd)}"
+    with open(os.path.join(GOLDEN, key + ".out"), encoding="utf-8",
+              newline="") as fh:
+        want = fh.read()
+    text, code = _run(name, cmd)
+    assert code == _exit_codes()[key], key
+    assert text == want, key
+
+
+def record():
+    codes = {}
+    for name, cmd in CASES:
+        key = f"{name}/{_slug(cmd)}"
+        text, code = _run(name, cmd)
+        os.makedirs(os.path.join(GOLDEN, name), exist_ok=True)
+        with open(os.path.join(GOLDEN, key + ".out"), "w", encoding="utf-8",
+                  newline="") as fh:
+            fh.write(text)
+        codes[key] = code
+    with open(os.path.join(GOLDEN, "exit_codes.json"), "w",
+              encoding="utf-8") as fh:
+        json.dump(codes, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"recorded {len(codes)} cases under {GOLDEN}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    record()

@@ -1,9 +1,8 @@
-"""Exact linear algebra: echelon, coordinates, dense RREF, nullspace."""
+"""Exact linear algebra: echelon, coordinates, RREF, nullspace, transpose."""
 
 from fractions import Fraction
 
-from leibcx.exactla import (SparseEchelon, is_zero_matrix, matmul, nullspace,
-                            rank, rref, transpose)
+from leibcx.exactla import SparseEchelon, nullspace, rank, rref, transpose
 
 
 def F(x):
@@ -63,24 +62,25 @@ def test_rank_matches_dense_rref():
         {0: F(1), 1: F(1), 2: F(2)},
     ]
     assert rank(rows) == 2
-    red, pivots = rref(rows, 3)
+    red, pivots = rref(rows)
     assert len(red) == 2 and pivots == [0, 1]
-    assert red[0] == [F(1), F(0), F(1)]
-    assert red[1] == [F(0), F(1), F(1)]
+    assert red[0] == {0: F(1), 2: F(1)}
+    assert red[1] == {1: F(1), 2: F(1)}
 
 
 def test_nullspace_canonical():
-    rows = [[F(1), F(0), F(1)], [F(0), F(1), F(1)]]
+    rows = [{0: F(1), 2: F(1)}, {1: F(1), 2: F(1)}]
     basis = nullspace(rows, 3)
-    assert basis == [[F(-1), F(-1), F(1)]]
+    assert basis == [{0: F(-1), 1: F(-1), 2: F(1)}]
     for v in basis:
-        assert all(sum(r[i] * v[i] for i in range(3)) == 0 for r in rows)
+        assert all(sum(c * v.get(i, 0) for i, c in r.items()) == 0
+                   for r in rows)
 
 
-def test_matmul_transpose():
-    a = [[F(1), F(2)], [F(3), F(4)]]
-    b = [[F(0), F(1)], [F(1), F(0)]]
-    assert matmul(a, b) == [[F(2), F(1)], [F(4), F(3)]]
-    assert transpose(a) == [[F(1), F(3)], [F(2), F(4)]]
-    assert is_zero_matrix([[F(0)], [F(0)]])
-    assert not is_zero_matrix([[F(0)], [F(1)]])
+def test_transpose_sparse_columns():
+    # columns of [[1, 2], [3, 4]]
+    a = [{0: F(1), 1: F(3)}, {0: F(2), 1: F(4)}]
+    assert transpose(a, 2) == [{0: F(1), 1: F(2)}, {0: F(3), 1: F(4)}]
+    # empty rows and columns survive with the given row count
+    assert transpose([{}, {2: F(5)}], 3) == [{}, {}, {1: F(5)}]
+    assert transpose([], 2) == [{}, {}]
