@@ -17,8 +17,6 @@ x1 = dg.word_element((1,))
 x2 = dg.word_element((2,))
 print("\nD of the degree -1 generator x1:", dg.differential(x1))
 print("derived bracket [Dx1, x1]:", dg.bracket(dg.differential(x1), x1))
-print("(the coordinate {1: {1: 1}} in degree -1 is the word (2): "
-      "indeed [e1, e1] = e2 in L2)")
 
 # Words of length 2 live in degree -2; the differential sends them to
 # boundary values and the bracket obeys the graded Jacobi identity.

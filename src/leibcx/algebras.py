@@ -18,7 +18,8 @@ canonical symplectic-style pairing, optional twisting by a scalar
 from fractions import Fraction
 
 from .errors import InputError
-from .exactla import rref
+from .exactla import SparseEchelon, rref
+from .words import _combine
 
 
 class LeibnizAlgebra:
@@ -54,6 +55,10 @@ class LeibnizAlgebra:
     def bracket(self, i, j):
         """Coordinates of [e_i, e_j] as {k: Fraction}."""
         return self._c.get((i, j), {})
+
+    def symmetrized(self, i, j):
+        """Coordinates of [e_i, e_j] + [e_j, e_i], zero entries dropped."""
+        return _combine(self.bracket(i, j), self.bracket(j, i))
 
     def bracket_vectors(self, a, b):
         """Bracket of coordinate vectors {i: coeff}."""
@@ -142,13 +147,7 @@ def symmetric_ideal(algebra):
     rows = []
     for i in range(1, algebra.dim + 1):
         for j in range(i, algebra.dim + 1):
-            v = dict(algebra.bracket(i, j))
-            for k, c in algebra.bracket(j, i).items():
-                nv = v.get(k, 0) + c
-                if nv:
-                    v[k] = nv
-                else:
-                    v.pop(k, None)
+            v = algebra.symmetrized(i, j)
             if v:
                 rows.append({k - 1: Fraction(c) for k, c in v.items()})
     return rref(rows)
@@ -168,20 +167,15 @@ def liezation(algebra):
     pos = {j: t for t, j in enumerate(kept)}
     qdim = len(kept)
 
+    ideal_echelon = SparseEchelon()
+    for row in ideal:
+        ideal_echelon.insert(row)
+
     def project(vec):
-        # vec: {k(1-based): coeff}; reduce modulo the ideal rows, keep
-        # the non-pivot coordinates
-        work = {k - 1: Fraction(c) for k, c in vec.items()}
-        for rowi, p in enumerate(pivots):
-            c = work.get(p, 0)
-            if c:
-                for col, v in ideal[rowi].items():
-                    nv = work.get(col, 0) - c * v
-                    if nv:
-                        work[col] = nv
-                    else:
-                        work.pop(col, None)
-        return {pos[j] + 1: c for j, c in work.items() if c}
+        # vec: {k(1-based): coeff}; the residue modulo the ideal is the
+        # coset representative that vanishes at the pivots
+        res = ideal_echelon.residue({k - 1: c for k, c in vec.items()})
+        return {pos[j] + 1: c for j, c in res.items()}
 
     # qdim = 0 would force [g,g] = [I,g] = 0, hence I = 0: impossible
     proj = [[Fraction(0)] * algebra.dim for _ in range(qdim)]
@@ -198,11 +192,6 @@ def liezation(algebra):
     quotient = LeibnizAlgebra(qdim, brackets,
                               name=(algebra.name or "") + "_lie")
     return quotient, proj, kept
-
-
-def lie_dimension(algebra):
-    _, proj, _ = liezation(algebra)
-    return len(proj)
 
 
 def canonical_omega(m):
@@ -257,13 +246,7 @@ def check_anti_invariance(algebra, form):
                 r1 = -form(ji, {k: 1}) if ji else Fraction(0)
                 if lhs != r1:
                     failures.append(("A1", (i, j, k)))
-                mix = dict(algebra.bracket(i, k))
-                for l, v in algebra.bracket(k, i).items():
-                    nv = mix.get(l, 0) + v
-                    if nv:
-                        mix[l] = nv
-                    else:
-                        mix.pop(l, None)
+                mix = algebra.symmetrized(i, k)
                 r2 = form(mix, {j: 1}) if mix else Fraction(0)
                 if lhs != r2:
                     failures.append(("A2", (i, j, k)))
@@ -308,8 +291,7 @@ def double(algebra, cocycle=None):
                 cija = algebra.bracket(i, j).get(a, 0)
                 if cija:
                     left[m + j] = -cija
-                cjia = algebra.bracket(j, i).get(a, 0)
-                s = cjia + cija
+                s = algebra.symmetrized(j, i).get(a, 0)
                 if s:
                     right[m + j] = s
             if left:

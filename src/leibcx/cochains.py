@@ -105,7 +105,7 @@ class Cochain:
 class DualValuedCochain:
     """Cochain with values in the dual space: {(word, l): Fraction}."""
 
-    __slots__ = ("arity", "dim", "coeffs")
+    __slots__ = ("arity", "dim", "coeffs", "_values")
 
     def __init__(self, arity, dim, coeffs=None):
         if arity < 0 or dim < 1:
@@ -113,6 +113,7 @@ class DualValuedCochain:
         self.arity = arity
         self.dim = dim
         self.coeffs = {}
+        self._values = {}     # word -> {l: Fraction}, the same entries
         for (w, l), c in (coeffs or {}).items():
             w = tuple(w)
             if len(w) != arity:
@@ -123,15 +124,11 @@ class DualValuedCochain:
             c = Fraction(c)
             if c:
                 self.coeffs[(w, l)] = c
+                self._values.setdefault(w, {})[l] = c
 
     def value(self, word):
         """Dual vector at a word, as {l: Fraction}."""
-        word = tuple(word)
-        out = {}
-        for (w, l), c in self.coeffs.items():
-            if w == word:
-                out[l] = c
-        return out
+        return dict(self._values.get(tuple(word), {}))
 
     def is_zero(self):
         return not self.coeffs
@@ -180,10 +177,10 @@ def coad_right(algebra, a, i):
     """[a, e_i]: component on e^j is sum_k (c(j,i,k) + c(i,j,k)) a_k."""
     out = {}
     for j in range(1, algebra.dim + 1):
+        sym = algebra.symmetrized(j, i)
         total = Fraction(0)
         for k, ak in a.items():
-            total += (algebra.bracket(j, i).get(k, 0)
-                      + algebra.bracket(i, j).get(k, 0)) * ak
+            total += sym.get(k, 0) * ak
         if total:
             out[j] = total
     return out

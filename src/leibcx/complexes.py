@@ -15,7 +15,9 @@ The degree-shifted differential graded Lie algebra DR sits at the end:
 components are the quotient Lie algebra in degree 0 and F^n in degree
 -n, the bracket combines the quotient bracket, its action on words, and
 the free graded commutator, and the differential is del plus the
-class-of-a-letter augmentation.
+class-of-a-letter augmentation.  Word parts are kept as their tensor
+embeddings: the free bracket is the super-commutator there, and del is
+applied as del_L, which equals it on embeddings by the intertwining.
 """
 
 import itertools
@@ -24,8 +26,8 @@ from functools import lru_cache
 
 from .errors import InputError
 from .exactla import SparseEchelon, nullspace, rank, transpose
-from .words import (LieElement, TensorElement, _add_term, embedded_word,
-                    super_commutator)
+from .words import (LieElement, TensorElement, _add_term, _combine,
+                    embedded_word, super_commutator)
 
 
 class LieBasisSlice:
@@ -54,12 +56,6 @@ class LieBasisSlice:
     def dim(self):
         return len(self.words)
 
-    def coords_of_embedding(self, emb_terms):
-        raw = self.echelon.coordinates(emb_terms)
-        if raw is None:
-            return None
-        return {self._src_pos[s]: c for s, c in raw.items() if c}
-
     def coords(self, element):
         """Coordinates of a LieElement (or raw bracket-word dict)."""
         terms = element.terms if isinstance(element, TensorElement) else element
@@ -67,11 +63,11 @@ class LieBasisSlice:
         for w, c in terms.items():
             for tw, k in embedded_word(w).items():
                 _add_term(emb, tw, c * k)
-        out = self.coords_of_embedding(emb)
-        if out is None:
+        raw = self.echelon.coordinates(emb)
+        if raw is None:
             raise InputError(
                 f"element is outside the degree-{self.degree} span")
-        return out
+        return {self._src_pos[s]: c for s, c in raw.items() if c}
 
     def element(self, coords):
         return LieElement({self.words[p]: c for p, c in coords.items() if c})
@@ -120,12 +116,8 @@ def boundary_word_terms(algebra, word, variant="main"):
         for i in range(L - 2):
             for j in range(i + 1, L):
                 add_pair(i, j, (-1) ** i)
-        sym = dict(algebra.bracket(word[L - 2], word[L - 1]))
-        for k, c in algebra.bracket(word[L - 1], word[L - 2]).items():
-            _add_term(sym, k, c)
-        for k, c in sym.items():
-            if c:
-                _add_term(out, word[:L - 2] + (k,), tailsign * c)
+        for k, c in algebra.symmetrized(word[L - 2], word[L - 1]).items():
+            _add_term(out, word[:L - 2] + (k,), tailsign * c)
         return out
     raise InputError(f"unknown boundary variant {variant!r}")
 
@@ -356,15 +348,21 @@ def ker2_invariance(algebra, subalgebra):
 
 
 class DRElement:
-    """Element of the graded algebra: degree-0 part + word parts by degree."""
+    """Element of the graded algebra: degree-0 part + word parts by degree.
+
+    gl holds quotient coordinates {i: Fraction}; parts maps a word degree
+    n to the tensor embedding {tensor word: Fraction} of an element of
+    F^n.  The embedding is injective on F^n, so equal embeddings are
+    equal elements.
+    """
 
     __slots__ = ("gl", "parts")
 
     def __init__(self, gl=None, parts=None):
         self.gl = {i: Fraction(c) for i, c in (gl or {}).items() if c}
         self.parts = {}
-        for n, coords in (parts or {}).items():
-            clean = {p: Fraction(c) for p, c in coords.items() if c}
+        for n, terms in (parts or {}).items():
+            clean = {w: Fraction(c) for w, c in terms.items() if c}
             if clean:
                 self.parts[n] = clean
 
@@ -381,14 +379,10 @@ class DRElement:
                                for n, c in self.parts.items())))
 
     def __add__(self, other):
-        gl = dict(self.gl)
-        for i, c in other.gl.items():
-            _add_term(gl, i, c)
-        parts = {n: dict(c) for n, c in self.parts.items()}
-        for n, coords in other.parts.items():
-            tgt = parts.setdefault(n, {})
-            for p, c in coords.items():
-                _add_term(tgt, p, c)
+        gl = _combine(self.gl, other.gl)
+        parts = dict(self.parts)
+        for n, terms in other.parts.items():
+            parts[n] = _combine(parts.get(n, {}), terms)
         return DRElement(gl, parts)
 
     def __sub__(self, other):
@@ -397,22 +391,15 @@ class DRElement:
     def __rmul__(self, scalar):
         scalar = Fraction(scalar)
         return DRElement({i: scalar * c for i, c in self.gl.items()},
-                         {n: {p: scalar * c for p, c in coords.items()}
-                          for n, coords in self.parts.items()})
-
-    def degrees(self):
-        out = set()
-        if self.gl:
-            out.add(0)
-        out.update(-n for n in self.parts)
-        return out
+                         {n: {w: scalar * c for w, c in terms.items()}
+                          for n, terms in self.parts.items()})
 
     def __repr__(self):
         bits = []
         if self.gl:
             bits.append(f"gl{self.gl}")
         for n in sorted(self.parts):
-            bits.append(f"F{n}{self.parts[n]}")
+            bits.append(f"F{n}({TensorElement._raw(self.parts[n])!r})")
         return "DR(" + (" + ".join(bits) if bits else "0") + ")"
 
 
@@ -421,7 +408,11 @@ class DGLA:
 
     Components: the quotient Lie algebra in degree 0 and F^n in degree
     -n for 1 <= n <= max_degree (higher word degrees are truncated to
-    zero, which does not disturb any identity below the cutoff).
+    zero, which does not disturb any identity below the cutoff).  Word
+    parts are kept as tensor embeddings, so no operation solves for
+    basis coordinates: the free bracket is the super-commutator, the
+    action substitutes letters in tensor words, and the differential is
+    del_L, which the embedding intertwines with del.
     """
 
     def __init__(self, algebra, max_degree=4):
@@ -435,8 +426,6 @@ class DGLA:
         self.ideal_rows = symmetric_ideal(algebra)[0]
         m = algebra.dim
         self.slices = {n: free_lie_basis(m, n) for n in range(1, max_degree + 1)}
-        self._bmat = {n: boundary_matrix(algebra, n)
-                      for n in range(2, max_degree + 1)}
 
     def component_dims(self):
         dims = {0: len(self.projection)}
@@ -444,27 +433,20 @@ class DGLA:
             dims[-n] = sl.dim
         return dims
 
-    def gl_element(self, vec):
-        return DRElement(gl=vec)
-
-    def chain_element(self, n, coords):
-        if n not in self.slices:
-            raise InputError(f"no component at word degree {n}")
-        return DRElement(parts={n: coords})
-
     def word_element(self, word):
         n = len(word)
-        coords = self.slices[n].coords({tuple(word): Fraction(1)})
-        return self.chain_element(n, coords)
+        if n not in self.slices:
+            raise InputError(f"no component at word degree {n}")
+        return DRElement(parts={n: embedded_word(word)})
 
     def basis(self):
         """(parity, element) for every component basis vector."""
         out = []
         for t in range(len(self.projection)):
-            out.append((0, self.gl_element({t + 1: 1})))
+            out.append((0, DRElement(gl={t + 1: 1})))
         for n in range(1, self.N + 1):
-            for p in range(self.slices[n].dim):
-                out.append((n, self.chain_element(n, {p: Fraction(1)})))
+            for w in self.slices[n].words:
+                out.append((n, self.word_element(w)))
         return out
 
     def lift(self, gl_vec):
@@ -481,81 +463,57 @@ class DGLA:
                     _add_term(out, r + 1, c * v)
         return out
 
-    def act(self, g_vec, n, coords):
-        """Action of x in g on an F^n element, letter by letter."""
-        sl = self.slices[n]
-        terms = {}
-        for p, c in coords.items():
-            w = sl.words[p]
-            for i in range(n):
-                for xi, cx in g_vec.items():
-                    for k, cb in self.algebra.bracket(xi, w[i]).items():
-                        _add_term(terms, w[:i] + (k,) + w[i + 1:], c * cx * cb)
-        if not terms:
-            return {}
-        return sl.coords(terms)
+    def act(self, g_vec, terms):
+        """Action of x in g on an embedded word part, letter by letter.
+
+        The embedding is linear in each letter slot, so acting on every
+        letter of the tensor words is the embedding of the action on
+        bracket words.
+        """
+        ad = {}
+        for letter in {x for w in terms for x in w}:
+            ad[letter] = self.algebra.bracket_vectors(g_vec, {letter: 1})
+        out = {}
+        for w, c in terms.items():
+            for i, letter in enumerate(w):
+                for k, cb in ad[letter].items():
+                    _add_term(out, w[:i] + (k,) + w[i + 1:], c * cb)
+        return out
 
     def bracket(self, a, b):
         out_gl = self.quotient.bracket_vectors(a.gl, b.gl)
         parts = {}
+
+        def add(n, terms):
+            # terms is a fresh dict, so the first one is kept as it is
+            if n in parts:
+                for w, c in terms.items():
+                    _add_term(parts[n], w, c)
+            else:
+                parts[n] = terms
+
         if a.gl:
             la = self.lift(a.gl)
-            for n, coords in b.parts.items():
-                acted = self.act(la, n, coords)
-                tgt = parts.setdefault(n, {})
-                for p, c in acted.items():
-                    _add_term(tgt, p, c)
+            for n, terms in b.parts.items():
+                add(n, self.act(la, terms))
         if b.gl:
-            lb = self.lift(b.gl)
-            for n, coords in a.parts.items():
-                acted = self.act(lb, n, coords)
-                tgt = parts.setdefault(n, {})
-                for p, c in acted.items():
-                    _add_term(tgt, p, -c)
-        for p_deg, pc in a.parts.items():
-            for q_deg, qc in b.parts.items():
-                n = p_deg + q_deg
-                if n > self.N:
-                    continue
-                ea = self.slices[p_deg].element(pc).embed()
-                eb = self.slices[q_deg].element(qc).embed()
-                sc = super_commutator(ea, eb)
-                if not sc:
-                    continue
-                coords = self.slices[n].coords_of_embedding(sc.terms)
-                if coords is None:
-                    raise RuntimeError(
-                        "free bracket left the word span; basis broken")
-                tgt = parts.setdefault(n, {})
-                for p, c in coords.items():
-                    _add_term(tgt, p, c)
+            lb = {i: -c for i, c in self.lift(b.gl).items()}
+            for n, terms in a.parts.items():
+                add(n, self.act(lb, terms))
+        for p, ta in a.parts.items():
+            for q, tb in b.parts.items():
+                if p + q <= self.N:
+                    add(p + q, super_commutator(TensorElement._raw(ta),
+                                                TensorElement._raw(tb)).terms)
         return DRElement(out_gl, parts)
 
     def differential(self, a):
-        gl = {}
-        parts = {}
         one = a.parts.get(1)
-        if one:
-            vec = {self.slices[1].words[p][0]: c for p, c in one.items()}
-            gl = self.project(vec)
-        for n, coords in a.parts.items():
-            if n < 2:
-                continue
-            cols = self._bmat[n]
-            tgt = parts.setdefault(n - 1, {})
-            for col, c in coords.items():
-                for r, v in cols[col].items():
-                    _add_term(tgt, r, c * v)
+        gl = self.project({w[0]: c for w, c in one.items()}) if one else {}
+        parts = {n - 1: loday_apply(self.algebra,
+                                    TensorElement._raw(terms)).terms
+                 for n, terms in a.parts.items() if n >= 2}
         return DRElement(gl, parts)
-
-    def parity(self, element):
-        ps = set()
-        if element.gl:
-            ps.add(0)
-        ps.update(n % 2 for n in element.parts)
-        if len(ps) > 1:
-            return None
-        return ps.pop() if ps else 0
 
 
 def dgla_suite(algebra, max_degree=4):
@@ -620,17 +578,18 @@ def dgla_suite(algebra, max_degree=4):
     checks["derivation"] = {"passed": not fails, "failures": fails[:5]}
 
     m = algebra.dim
+
+    def letters(vec):
+        # degree -1 element of a g coordinate vector {k: c}
+        return DRElement(parts={1: {(k,): c for k, c in vec.items()}})
+
     fails = []
     for i in range(1, m + 1):
         for j in range(1, m + 1):
             xi = dg.word_element((i,))
             xj = dg.word_element((j,))
             derived = dg.bracket(dg.differential(xi), xj)
-            expect_coords = dg.slices[1].coords(
-                {(k,): c for k, c in algebra.bracket(i, j).items()})
-            expect = dg.chain_element(1, expect_coords) \
-                if expect_coords else DRElement()
-            if derived != expect:
+            if derived != letters(algebra.bracket(i, j)):
                 fails.append((i, j))
     checks["derived_bracket"] = {"passed": not fails, "failures": fails[:5]}
 
@@ -641,23 +600,13 @@ def dgla_suite(algebra, max_degree=4):
                 xi, xj, xk = (dg.word_element((t,)) for t in (i, j, k))
                 pair = dg.bracket(xj, xk)
                 lhs = dg.bracket(dg.differential(xi), pair)
-                bij = {(l,): c for l, c in algebra.bracket(i, j).items()}
-                bik = {(l,): c for l, c in algebra.bracket(i, k).items()}
-                rhs = dg.bracket(dg.chain_element(
-                    1, dg.slices[1].coords(bij)) if bij else DRElement(), xk)
-                rhs = rhs + dg.bracket(xj, dg.chain_element(
-                    1, dg.slices[1].coords(bik)) if bik else DRElement())
+                rhs = dg.bracket(letters(algebra.bracket(i, j)), xk) + \
+                    dg.bracket(xj, letters(algebra.bracket(i, k)))
                 if lhs != rhs:
                     fails1.append((i, j, k))
                 pair_ij = dg.bracket(xi, xj)
                 lhs2 = dg.bracket(dg.differential(pair_ij), xk)
-                symm = dict(algebra.bracket(i, j))
-                for l, c in algebra.bracket(j, i).items():
-                    _add_term(symm, l, c)
-                sym_el = dg.chain_element(1, dg.slices[1].coords(
-                    {(l,): c for l, c in symm.items()})) \
-                    if symm else DRElement()
-                rhs2 = dg.bracket(sym_el, xk)
+                rhs2 = dg.bracket(letters(algebra.symmetrized(i, j)), xk)
                 if lhs2 != rhs2:
                     fails2.append((i, j, k))
     checks["lifted_identity_left"] = {"passed": not fails1,
@@ -669,8 +618,8 @@ def dgla_suite(algebra, max_degree=4):
     for row in dg.ideal_rows:
         vec = {i + 1: c for i, c in row.items()}
         for n in range(1, N + 1):
-            for p in range(dg.slices[n].dim):
-                if dg.act(vec, n, {p: Fraction(1)}):
+            for p, w in enumerate(dg.slices[n].words):
+                if dg.act(vec, embedded_word(w)):
                     fails.append((vec, n, p))
     checks["ideal_acts_trivially"] = {"passed": not fails,
                                       "failures": fails[:5]}
@@ -678,10 +627,10 @@ def dgla_suite(algebra, max_degree=4):
     fails = []
     sl2 = dg.slices.get(2)
     if sl2 is not None:
-        for p in range(sl2.dim):
-            el = dg.chain_element(2, {p: Fraction(1)})
+        for w in sl2.words:
+            el = dg.word_element(w)
             if dg.differential(dg.differential(el)).gl:
-                fails.append(sl2.words[p])
+                fails.append(w)
     checks["augmentation_kills_boundaries"] = {"passed": not fails,
                                                "failures": fails[:5]}
     return checks

@@ -114,10 +114,6 @@ class SparseEchelon:
         res, scale, gamma = self._reduce(vec)
         res = {i: c for i, c in res.items() if c}
         if not res:
-            if self.track:
-                # vec = sum (gamma_k / scale) * rows[k]; remember nothing,
-                # rejected sources are reconstructed on demand
-                pass
             return False
         res, div = _gcd_normalize(res)
         if self.track:

@@ -12,7 +12,7 @@ from leibcx.complexes import (DGLA, boundary_apply, boundary_matrix,
                               kernel2_basis, loday_apply, loday_matrix,
                               omega0)
 from leibcx.errors import InputError
-from leibcx.words import LieElement, TensorElement
+from leibcx.words import LieElement, TensorElement, embedded_word
 
 FROZEN_DIMS = {
     1: [1, 1, 0, 0, 0],
@@ -168,16 +168,45 @@ def test_dgla_derived_bracket_values():
     assert d.gl == {1: 1}
     # (D x1, x1) = {[e1, e1]} = {e2}
     res = dg.bracket(d, x1)
-    assert res.parts == {1: {1: 1}}
+    assert res.parts == {1: {(2,): 1}}
 
 
 def test_dgla_action_drops_ideal():
     dg = DGLA(catalog.get("N3"), max_degree=3)
-    # e2 and e3 span the ideal; their action must vanish identically
+    # e2 and e3 span the ideal; their action must vanish identically.
+    # The embedding is injective on F^n, so zero on it is zero in F^n.
     for vec in ({2: Fraction(1)}, {3: Fraction(1)}):
         for n in (1, 2, 3):
-            for p in range(dg.slices[n].dim):
-                assert dg.act(vec, n, {p: Fraction(1)}) == {}
+            for w in dg.slices[n].words:
+                assert dg.act(vec, embedded_word(w)) == {}
+
+
+def test_dgla_differential_matches_boundary_matrix():
+    # the tensor boundary on embeddings against the coordinate path:
+    # column p of boundary_matrix, embedded, is del of basis word p
+    for name in catalog.VALID_NAMES:
+        A = catalog.get(name)
+        dg = DGLA(A, max_degree=5)
+        for n in range(2, 6):
+            cols = boundary_matrix(A, n)
+            for p, w in enumerate(dg.slices[n].words):
+                got = dg.differential(dg.word_element(w)).parts.get(n - 1, {})
+                want = dg.slices[n - 1].element(cols[p]).embed().terms
+                assert got == want, (name, w)
+
+
+def test_dgla_free_bracket_stays_in_word_span():
+    # the free bracket of embedded basis words of F^p and F^q is the
+    # embedding of an element of F^(p+q)
+    for name in catalog.VALID_NAMES:
+        dg = DGLA(catalog.get(name), max_degree=4)
+        words = [(p, a) for p, a in dg.basis() if p]
+        for p, a in words:
+            for q, b in words:
+                if p + q > 4:
+                    continue
+                part = dg.bracket(a, b).parts.get(p + q, {})
+                assert dg.slices[p + q].echelon.contains(part), (name, a, b)
 
 
 def test_dgla_suite_small():

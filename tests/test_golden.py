@@ -32,6 +32,8 @@ COMMANDS = (
     ("dr", "--max-degree", "3"),
     ("check", "--suite", "subcomplex"),
     ("check", "--suite", "anticyclic"),
+    ("check", "--suite", "complex"),
+    ("check", "--suite", "dual"),
 )
 
 CASES = [(name, cmd) for name in NAMES for cmd in COMMANDS]
