@@ -34,18 +34,25 @@ COMMANDS = (
     ("check", "--suite", "anticyclic"),
     ("check", "--suite", "complex"),
     ("check", "--suite", "dual"),
+    ("cohomology", "--max-degree", "5"),
+    ("check", "--suite", "subcomplex", "--max-degree", "5"),
 )
-
-CASES = [(name, cmd) for name in NAMES for cmd in COMMANDS]
 
 
 def _slug(cmd):
     return "_".join(part.lstrip("-") for part in cmd)
 
 
-def _run(name, cmd):
+# (test id, golden file key, argv without --format)
+CASES = [(f"{name}-{_slug(cmd)}", f"{name}/{_slug(cmd)}",
+          [cmd[0], f"catalog:{name}", *cmd[1:]])
+         for name in NAMES for cmd in COMMANDS]
+CASES.append(("catalog", "catalog", ["catalog"]))
+
+
+def _run(argv):
     from leibcx.cli import main
-    argv = [cmd[0], f"catalog:{name}", *cmd[1:], "--format", "json"]
+    argv = [*argv, "--format", "json"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
@@ -58,24 +65,22 @@ def _exit_codes():
         return json.load(fh)
 
 
-@pytest.mark.parametrize("name,cmd", CASES,
-                         ids=[f"{n}-{_slug(c)}" for n, c in CASES])
-def test_golden_output(name, cmd):
-    key = f"{name}/{_slug(cmd)}"
+@pytest.mark.parametrize("key,argv", [c[1:] for c in CASES],
+                         ids=[c[0] for c in CASES])
+def test_golden_output(key, argv):
     with open(os.path.join(GOLDEN, key + ".out"), encoding="utf-8",
               newline="") as fh:
         want = fh.read()
-    text, code = _run(name, cmd)
+    text, code = _run(argv)
     assert code == _exit_codes()[key], key
     assert text == want, key
 
 
 def record():
     codes = {}
-    for name, cmd in CASES:
-        key = f"{name}/{_slug(cmd)}"
-        text, code = _run(name, cmd)
-        os.makedirs(os.path.join(GOLDEN, name), exist_ok=True)
+    for _, key, argv in CASES:
+        text, code = _run(argv)
+        os.makedirs(os.path.dirname(os.path.join(GOLDEN, key)), exist_ok=True)
         with open(os.path.join(GOLDEN, key + ".out"), "w", encoding="utf-8",
                   newline="") as fh:
             fh.write(text)
