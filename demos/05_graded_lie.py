@@ -26,7 +26,7 @@ print("[x1, x2] in the graded algebra:", dg.bracket(x1, x2))
 
 # Nine identities, checked over the whole truncated basis.
 for name in ("L2", "N3", "sl2"):
-    rep = dgla_suite(catalog.get(name), max_degree=4)
+    rep = dgla_suite(DGLA(catalog.get(name), max_degree=4))
     verdict = all(r["passed"] for r in rep.values())
     print(f"\n{name}: all {len(rep)} graded identities hold: {verdict}")
     for check, r in rep.items():

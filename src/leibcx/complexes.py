@@ -224,6 +224,13 @@ def intertwining_report(algebra, max_length=5):
     return {"passed": not failures, "failures": failures}
 
 
+def _shifted_homology(dims, ranks):
+    # H_n = dim C_(n+1) - rank d_(n+1) - rank d_(n+2) for n = 0..N-2,
+    # where dims covers degrees 1..N and ranks degrees 2..N
+    return {n: dims[n + 1] - ranks.get(n + 1, 0) - ranks.get(n + 2, 0)
+            for n in range(len(dims) - 1)}
+
+
 def homology(algebra, max_degree=4, loday=False):
     """Dimension table of the shifted homology HA_n (and HL_n if asked).
 
@@ -236,30 +243,16 @@ def homology(algebra, max_degree=4, loday=False):
     if max_degree < 2:
         raise InputError("--max-degree must be at least 2")
     m = algebra.dim
-    N = max_degree
-    dims = {n: free_lie_basis(m, n).dim for n in range(1, N + 1)}
-    ranks = {}
-    for n in range(2, N + 1):
-        ranks[n] = rank(boundary_matrix(algebra, n))
-    ha = {}
-    for n in range(0, N - 1):
-        r_in = ranks.get(n + 2, 0)
-        r_out = ranks[n + 1] if n + 1 >= 2 else 0
-        ha[n] = dims[n + 1] - r_out - r_in
-    out = {"dims": dims, "ranks": ranks, "HA": ha}
+    degrees = range(2, max_degree + 1)
+    dims = {n: free_lie_basis(m, n).dim for n in range(1, max_degree + 1)}
+    ranks = {n: rank(boundary_matrix(algebra, n)) for n in degrees}
+    out = {"dims": dims, "ranks": ranks, "HA": _shifted_homology(dims, ranks)}
     if loday:
-        tdims = {n: m ** n for n in range(1, N + 1)}
-        tranks = {}
-        for n in range(2, N + 1):
-            tranks[n] = rank(loday_matrix(algebra, n))
-        hl = {}
-        for n in range(0, N - 1):
-            r_in = tranks.get(n + 2, 0)
-            r_out = tranks[n + 1] if n + 1 >= 2 else 0
-            hl[n] = tdims[n + 1] - r_out - r_in
+        tdims = {n: m ** n for n in range(1, max_degree + 1)}
+        tranks = {n: rank(loday_matrix(algebra, n)) for n in degrees}
         out["tensor_dims"] = tdims
         out["tensor_ranks"] = tranks
-        out["HL"] = hl
+        out["HL"] = _shifted_homology(tdims, tranks)
     return out
 
 
@@ -516,8 +509,8 @@ class DGLA:
         return DRElement(gl, parts)
 
 
-def dgla_suite(algebra, max_degree=4):
-    """Run the full identity battery on the graded algebra.
+def dgla_suite(dg):
+    """Run the full identity battery on a graded algebra DGLA.
 
     Returns {check_name: {"passed": bool, "failures": [...]}} covering
     antisymmetry, the graded Jacobi identity, the differential squaring
@@ -526,7 +519,7 @@ def dgla_suite(algebra, max_degree=4):
     identities in degree -2, trivial action of the symmetric ideal, and
     the augmented composite vanishing on degree-2 boundaries.
     """
-    dg = DGLA(algebra, max_degree)
+    algebra = dg.algebra
     N = dg.N
     basis = dg.basis()
     checks = {}

@@ -210,5 +210,5 @@ def test_dgla_free_bracket_stays_in_word_span():
 
 
 def test_dgla_suite_small():
-    checks = dgla_suite(catalog.get("L2"), max_degree=3)
+    checks = dgla_suite(DGLA(catalog.get("L2"), max_degree=3))
     assert all(v["passed"] for v in checks.values()), checks

@@ -60,6 +60,22 @@ def test_output_deterministic(capsys):
     assert out1.endswith("\n")
 
 
+def test_dr_builds_one_graded_algebra(capsys, monkeypatch):
+    from leibcx import algebras
+    calls = []
+    liezation = algebras.liezation
+
+    def counted(algebra):
+        calls.append(algebra)
+        return liezation(algebra)
+
+    monkeypatch.setattr(algebras, "liezation", counted)
+    code, _, _ = run(capsys, "dr", "catalog:L2", "--max-degree", "3",
+                     "--format", "json")
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_double_roundtrip(tmp_path, capsys):
     path = tmp_path / "dbl.json"
     code, out, _ = run(capsys, "double", "catalog:L2", "-o", str(path))

@@ -6,14 +6,17 @@ from fractions import Fraction
 import pytest
 
 from leibcx import catalog
+from leibcx.algebras import LeibnizAlgebra
 from leibcx.cochains import (Cochain, DualValuedCochain, anti_cyclic_basis,
                              anti_cyclic_constraint_rows, bracket_coords_table,
                              classify_extension,
                              coboundary_matrix_on_anti_cyclic, cohomology,
                              from_implicit, is_anti_cyclic, lower,
                              lp_coboundary, lp_differential, same_row_space,
-                             symmetry_identity_rows, to_implicit)
-from leibcx.complexes import boundary_matrix, free_lie_basis, homology
+                             subcomplex_report, symmetry_identity_rows,
+                             to_implicit)
+from leibcx.complexes import (boundary_matrix, free_lie_basis, homology,
+                              intertwining_report)
 from leibcx.errors import InputError
 from leibcx.exactla import transpose
 
@@ -108,8 +111,9 @@ def test_coboundary_transpose_identity():
     for name in ("L2", "N3", "sl2", "heis3", "doubleL2"):
         A = catalog.get(name)
         for degree in (0, 1, 2):
-            mat, preserved = coboundary_matrix_on_anti_cyclic(A, degree)
-            assert preserved, (name, degree)
+            assert subcomplex_report(A, degree) == \
+                {"preserved": True, "transpose": True}, (name, degree)
+            mat = coboundary_matrix_on_anti_cyclic(A, degree)
             nrows = free_lie_basis(A.dim, degree + 1).dim
             assert mat == transpose(boundary_matrix(A, degree + 2), nrows), \
                 (name, degree)
@@ -119,6 +123,31 @@ def test_coboundary_transpose_identity():
                 assert is_anti_cyclic(ba), (name, degree, k)
                 col = {r: c for r, c in enumerate(to_implicit(ba)) if c}
                 assert col == mat[k], (name, degree, k)
+
+
+def test_transpose_theorem_on_elementary_brackets():
+    # del, del_L and the coboundary are linear in the structure constants,
+    # and every bracket on Q^m is a sum of elementary ones [e_i,e_j] = e_k;
+    # so passing on all of them proves preservation, the transpose identity
+    # and the intertwining for every bracket, Leibniz or not, at these sizes
+    for m, top_degree, max_length in ((2, 2, 4), (3, 2, 4), (4, 1, 3)):
+        for i, j, k in itertools.product(range(1, m + 1), repeat=3):
+            A = LeibnizAlgebra(m, {(i, j): {k: 1}})
+            for degree in range(top_degree + 1):
+                assert subcomplex_report(A, degree) == \
+                    {"preserved": True, "transpose": True}, (m, i, j, k)
+            assert intertwining_report(A, max_length)["passed"], (m, i, j, k)
+
+
+def test_subcomplex_report_detects_a_wrong_matrix(monkeypatch):
+    import leibcx.cochains as cochains
+    A = catalog.get("sl2")
+    good = coboundary_matrix_on_anti_cyclic(A, 1)
+    bad = [dict(col) for col in good]
+    bad[0][0] = bad[0].get(0, 0) + 1
+    monkeypatch.setattr(cochains, "coboundary_matrix_on_anti_cyclic",
+                        lambda algebra, degree: bad)
+    assert subcomplex_report(A, 1) == {"preserved": True, "transpose": False}
 
 
 def test_cohomology_matches_homology():
