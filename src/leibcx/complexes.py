@@ -33,10 +33,15 @@ from .words import (LieElement, TensorElement, _add_term, _combine,
 class LieBasisSlice:
     """Basis of the length-n bracket words over the alphabet 1..m.
 
-    Candidate words are inserted in lexicographic order; a word joins the
-    basis when its tensor embedding is independent of the embeddings
-    already kept.  coords() expresses any element of the span over the
-    kept words, exactly.
+    The basis is the lex-greedy one: a word joins it when its tensor
+    embedding is independent of the embeddings of the lex-smaller words.
+    Only the prefix extensions (a,) + b, with b a basis word of length
+    n-1, are inserted, in lex order.  This keeps the same basis: eps{a, w}
+    = a (x) eps(w) - (-1)^(n-1) eps(w) (x) a is linear in eps(w), so when
+    w lies in the span of lex-smaller words, (a,) + w lies in the span of
+    the lex-smaller words (a,) + v, and the full sweep would reject it
+    too.  coords() expresses any element of the span over the kept
+    words, exactly.
     """
 
     def __init__(self, m, degree):
@@ -45,8 +50,9 @@ class LieBasisSlice:
         self.echelon = SparseEchelon(track=True)
         self.words = []
         self._src_pos = {}
-        for src, w in enumerate(itertools.product(range(1, m + 1),
-                                                  repeat=degree)):
+        tails = free_lie_basis(m, degree - 1).words if degree > 1 else [()]
+        candidates = ((a,) + b for a in range(1, m + 1) for b in tails)
+        for src, w in enumerate(candidates):
             emb = embedded_word(w)
             if self.echelon.insert(emb):
                 self._src_pos[src] = len(self.words)
@@ -359,6 +365,15 @@ class DRElement:
             if clean:
                 self.parts[n] = clean
 
+    @classmethod
+    def _raw(cls, gl, parts):
+        # gl and parts must be fresh dicts of nonzero Fractions; only the
+        # empty parts are dropped
+        el = cls.__new__(cls)
+        el.gl = gl
+        el.parts = {n: terms for n, terms in parts.items() if terms}
+        return el
+
     def is_zero(self):
         return not self.gl and not self.parts
 
@@ -498,7 +513,7 @@ class DGLA:
                 if p + q <= self.N:
                     add(p + q, super_commutator(TensorElement._raw(ta),
                                                 TensorElement._raw(tb)).terms)
-        return DRElement(out_gl, parts)
+        return DRElement._raw(out_gl, parts)
 
     def differential(self, a):
         one = a.parts.get(1)
@@ -506,7 +521,7 @@ class DGLA:
         parts = {n - 1: loday_apply(self.algebra,
                                     TensorElement._raw(terms)).terms
                  for n, terms in a.parts.items() if n >= 2}
-        return DRElement(gl, parts)
+        return DRElement._raw(gl, parts)
 
 
 def dgla_suite(dg):

@@ -1,5 +1,6 @@
 """Basis slices, boundaries, homology tables, and the graded Lie suite."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from leibcx.complexes import (DGLA, boundary_apply, boundary_matrix,
                               kernel2_basis, loday_apply, loday_matrix,
                               omega0)
 from leibcx.errors import InputError
+from leibcx.exactla import SparseEchelon
 from leibcx.words import LieElement, TensorElement, embedded_word
 
 FROZEN_DIMS = {
@@ -38,6 +40,50 @@ def test_slice_coords_round_trip():
     coords = sl.coords({(2, 1, 1): Fraction(1)})
     assert coords == {0: Fraction(-2)}
     assert sl.element(coords) == LieElement({(2, 1, 1): 1})
+
+
+def _mobius(n):
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
+def _super_witt(m, n):
+    # dim of the length-n part of the free Lie superalgebra on m odd
+    # generators (Ree 1960; Petrogradsky 2000)
+    total = sum(_mobius(d) * (-1) ** (n + n // d) * m ** (n // d)
+                for d in range(1, n + 1) if n % d == 0)
+    assert total % n == 0
+    return total // n
+
+
+def test_slice_dims_super_witt():
+    want = {4: [4, 10, 20, 60, 204, 690, 2340], 6: [6, 21, 70, 315, 1554]}
+    for m, dims in want.items():
+        formula = [_super_witt(m, n) for n in range(1, len(dims) + 1)]
+        assert formula == dims
+        assert [free_lie_basis(m, n).dim
+                for n in range(1, len(dims) + 1)] == formula
+
+
+def _full_sweep_words(m, n):
+    # the lex-greedy pass over all m^n words, kept as the reference
+    ech = SparseEchelon()
+    return [w for w in itertools.product(range(1, m + 1), repeat=n)
+            if ech.insert(embedded_word(w))]
+
+
+@pytest.mark.parametrize("m, n", [(2, 8), (3, 6), (4, 5), (6, 3)])
+def test_prefix_extension_keeps_full_sweep_basis(m, n):
+    sl = free_lie_basis(m, n)
+    assert sl.words == _full_sweep_words(m, n)
+    assert sl.echelon.nsources == m * free_lie_basis(m, n - 1).dim
 
 
 def test_boundary_low_degrees_frozen():
