@@ -17,7 +17,8 @@ import sys
 
 import pytest
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "golden")
 
 NAMES = ("abelian1", "abelian2", "abelian3", "abelian4", "L2", "N3", "sl2",
          "heis3", "doubleL2", "B1")
@@ -74,6 +75,15 @@ def test_golden_output(key, argv):
     text, code = _run(argv)
     assert code == _exit_codes()[key], key
     assert text == want, key
+
+
+def test_dense_change_of_basis_matches_catalog():
+    # sl2 in a +-5 L U basis (perfbench/bench_gen.py, seed 6): dense,
+    # large structure constants, the same homology as the catalog basis
+    path = os.path.join(HERE, "data", "sl2_conj0.json")
+    conj = _run(["homology", path, "--max-degree", "6"])
+    assert conj == _run(["homology", "catalog:sl2", "--max-degree", "6"])
+    assert conj[1] == 0
 
 
 def record():
