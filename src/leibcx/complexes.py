@@ -23,6 +23,7 @@ applied as del_L, which equals it on embeddings by the intertwining.
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import InputError
 from .exactla import SparseEchelon, nullspace, rank, transpose
@@ -65,15 +66,21 @@ class LieBasisSlice:
     def coords(self, element):
         """Coordinates of a LieElement (or raw bracket-word dict)."""
         terms = element.terms if isinstance(element, TensorElement) else element
+        # coordinates are linear: embed den * element in integers and
+        # divide the coordinates by den
+        den = lcm(*(c.denominator for c in terms.values()))
         emb = {}
         for w, c in terms.items():
+            c = c.numerator * (den // c.denominator)
             for tw, k in embedded_word(w).items():
                 _add_term(emb, tw, c * k)
         raw = self.echelon.coordinates(emb)
         if raw is None:
             raise InputError(
                 f"element is outside the degree-{self.degree} span")
-        return {self._src_pos[s]: c for s, c in raw.items() if c}
+        if den == 1:
+            return {self._src_pos[s]: c for s, c in raw.items()}
+        return {self._src_pos[s]: c / den for s, c in raw.items()}
 
     def element(self, coords):
         return LieElement({self.words[p]: c for p, c in coords.items() if c})

@@ -4,9 +4,14 @@ Vectors are dicts {index: Fraction} holding only nonzero entries.  The
 workhorse is SparseEchelon, an incremental fraction-free row echelon:
 rows are kept as integer dicts and reduction multiplies through by pivot
 values instead of dividing, so no Fraction arithmetic happens in the hot
-loop.  With track=True each accepted row also carries its expression as
-an exact rational combination of the inserted source vectors, which is
-what coordinate recovery (membership certificates) uses.
+loop.  Reduction applies the stored rows in insertion order, but visits
+only the rows whose pivot the residue reaches (a heap of row positions,
+fed as updates create entries at pivots), as in sparse partial pivoting.
+With track=True each accepted row also carries its expression over the
+inserted source vectors, fraction-free as well: integer coefficients over
+one positive denominator.  Coordinate recovery (membership certificates)
+combines these over a common denominator and creates Fractions only for
+the coordinates it returns.
 
 A matrix is a list of such vectors: the columns for boundary maps, the
 rows where rref and nullspace say so.  rref and nullspace are thin
@@ -14,19 +19,18 @@ canonical read-outs of a SparseEchelon; they return sparse rows too.
 """
 
 from fractions import Fraction
-from math import gcd
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 
 def _as_int_vector(vec):
-    # clear denominators; returns ({i: int}, lcm) with lcm > 0
-    items = [(i, c) for i, c in vec.items() if c]
-    if not items:
-        return {}, 1
-    lcm = 1
-    for _, c in items:
-        q = c.denominator if isinstance(c, Fraction) else 1
-        lcm = lcm * q // gcd(lcm, q)
-    return {i: int(c * lcm) for i, c in items}, lcm
+    # clear denominators; returns ({i: int}, lcm) with lcm > 0 and no
+    # zero entries
+    if all(type(c) is int for c in vec.values()):
+        return {i: c for i, c in vec.items() if c}, 1
+    den = lcm(*(c.denominator for c in vec.values()))
+    return {i: c.numerator * (den // c.denominator)
+            for i, c in vec.items() if c}, den
 
 
 def _gcd_normalize(row):
@@ -51,10 +55,14 @@ class SparseEchelon:
 
     insert(vec) reduces vec against the stored rows; if a nonzero residue
     remains it becomes a new row and insert returns True, otherwise False.
-    rank == number of stored rows.  With track=True, coordinates(vec)
-    returns {source_index: Fraction} expressing vec over the accepted and
-    rejected insertions alike (every insert() call is a source), or None
-    when vec is outside the span.
+    rank == number of stored rows.  Reduction applies the rows in
+    insertion order, but only the rows whose pivot the residue reaches,
+    so its cost follows the arithmetic, not the rank.  With track=True,
+    coordinates(vec) returns {source_index: Fraction} expressing vec over
+    the accepted and rejected insertions alike (every insert() call is a
+    source), or None when vec is outside the span.  The expression of
+    each row is kept fraction-free too: integer coefficients over one
+    positive denominator, in lowest terms.
     """
 
     def __init__(self, track=False):
@@ -62,7 +70,7 @@ class SparseEchelon:
         self.pivots = {}      # pivot index -> row position
         self._rowpiv = []     # row position -> pivot index
         self.track = track
-        self._exprs = []      # row -> {source: Fraction}, only if track
+        self._exprs = []      # row -> ({source: int}, den > 0), if track
         self.nsources = 0
 
     @property
@@ -72,65 +80,85 @@ class SparseEchelon:
     def _reduce(self, vec):
         # returns (residue, scale, gamma) with
         #   scale * vec == residue + sum_k gamma[k] * rows[k]
-        # residue has no entry at any stored pivot; all integer.
-        # Rows must be applied in insertion order: row k is clean at the
-        # pivots of rows < k, so later rows absorb anything row k adds.
-        res, scale0 = _as_int_vector(vec)
-        scale = scale0
+        # residue has no entry at any stored pivot and no zero entry;
+        # all integer.  Rows must be applied in insertion order: row k is
+        # clean at the pivots of rows < k, so later rows absorb anything
+        # row k adds.  Row k is applied only when the residue holds its
+        # pivot; the heap starts with the pivots in vec, and an update
+        # that writes a new entry at a pivot pushes that (later) row.
+        res, scale = _as_int_vector(vec)
+        pivots = self.pivots
+        heap = [pivots[i] for i in res if i in pivots]
+        heapify(heap)
         gamma = {}
-        for k, row in enumerate(self.rows):
+        while heap:
+            k = heappop(heap)
             piv = self._rowpiv[k]
-            c = res.get(piv, 0)
+            c = res.get(piv)
             if not c:
-                continue
+                continue      # cancelled again, or pushed twice
+            row = self.rows[k]
             p = row[piv]
             if c % p == 0:
                 q = c // p
-                for i, rv in row.items():
-                    nv = res.get(i, 0) - q * rv
-                    if nv:
-                        res[i] = nv
-                    else:
-                        res.pop(i, None)
-                gamma[k] = gamma.get(k, 0) + q
             else:
                 for j in gamma:
                     gamma[j] *= p
                 scale *= p
-                for i in list(res):
+                for i in res:
                     res[i] *= p
-                for i, rv in row.items():
-                    nv = res.get(i, 0) - c * rv
-                    if nv:
-                        res[i] = nv
+                q = c
+            for i, rv in row.items():
+                v = res.get(i)
+                if v is None:
+                    res[i] = -q * rv
+                    j = pivots.get(i)
+                    if j is not None:
+                        heappush(heap, j)
+                else:
+                    v -= q * rv
+                    if v:
+                        res[i] = v
                     else:
-                        res.pop(i, None)
-                gamma[k] = gamma.get(k, 0) + c
+                        del res[i]
+            gamma[k] = q
         return res, scale, gamma
+
+    def _combine(self, gamma):
+        # sum_k gamma[k] * expr[k] as ({source: int}, den), den > 0
+        den = lcm(*(self._exprs[k][1] for k in gamma))
+        out = {}
+        for k, g in gamma.items():
+            expr, d = self._exprs[k]
+            f = g * (den // d)
+            for s, c in expr.items():
+                v = out.get(s, 0) + f * c
+                if v:
+                    out[s] = v
+                else:
+                    out.pop(s, None)
+        return out, den
 
     def insert(self, vec):
         src = self.nsources
         self.nsources += 1
         res, scale, gamma = self._reduce(vec)
-        res = {i: c for i, c in res.items() if c}
         if not res:
             return False
         res, div = _gcd_normalize(res)
         if self.track:
-            # res = (scale/div) * vec - sum (gamma_k/div) * rows[k]
-            expr = {}
-            for k, g in gamma.items():
-                coeff = Fraction(-g, div)
-                for s, c in self._exprs[k].items():
-                    v = expr.get(s, 0) + coeff * c
-                    if v:
-                        expr[s] = v
-                    else:
-                        expr.pop(s, None)
-            v = expr.get(src, 0) + Fraction(scale, div)
-            if v:
-                expr[src] = v
-            self._exprs.append(expr)
+            # res = (scale * vec - sum_k gamma_k * rows[k]) / div
+            #     = (sum_k gamma_k * rows[k] - scale * vec) / (-div)
+            expr, den = self._combine(gamma)
+            expr[src] = -scale * den
+            den *= -div
+            g = gcd(den, *expr.values())
+            if den < 0:
+                g = -g
+            if g != 1:
+                expr = {s: c // g for s, c in expr.items()}
+                den //= g
+            self._exprs.append((expr, den))
         piv = min(res)
         self.pivots[piv] = len(self.rows)
         self._rowpiv.append(piv)
@@ -140,29 +168,22 @@ class SparseEchelon:
     def residue(self, vec):
         """Reduced form of vec against the stored rows, as Fractions."""
         res, scale, _ = self._reduce(vec)
-        return {i: Fraction(c, scale) for i, c in res.items() if c}
+        return {i: Fraction(c, scale) for i, c in res.items()}
 
     def contains(self, vec):
         res, _, _ = self._reduce(vec)
-        return not any(res.values())
+        return not res
 
     def coordinates(self, vec):
         """Express vec over the inserted sources; None if outside the span."""
         if not self.track:
             raise RuntimeError("echelon built without track=True")
         res, scale, gamma = self._reduce(vec)
-        if any(res.values()):
+        if res:
             return None
-        out = {}
-        for k, g in gamma.items():
-            coeff = Fraction(g, scale)
-            for s, c in self._exprs[k].items():
-                v = out.get(s, 0) + coeff * c
-                if v:
-                    out[s] = v
-                else:
-                    out.pop(s, None)
-        return out
+        num, den = self._combine(gamma)
+        den *= scale
+        return {s: Fraction(c, den) for s, c in num.items()}
 
 
 def _echelon(rows):

@@ -181,10 +181,6 @@ def higher_bracketing(el):
     return LieElement(el.terms)
 
 
-def bracket_word(word):
-    return LieElement._raw({tuple(word): Fraction(1)})
-
-
 def projector_report(max_alphabet=3, max_length=6):
     """Certify that rebracketing the expansion scales by the word length.
 

@@ -42,6 +42,18 @@ def test_slice_coords_round_trip():
     assert sl.element(coords) == LieElement({(2, 1, 1): 1})
 
 
+def test_slice_coords_of_rational_element():
+    # mixed denominators: the integer case scaled back by their lcm
+    sl = free_lie_basis(3, 3)
+    ints = sl.coords({(3, 2, 1): Fraction(5), (2, 1, 1): Fraction(6),
+                      (1, 2, 3): Fraction(-30)})
+    mixed = sl.coords({(3, 2, 1): Fraction(1, 3), (2, 1, 1): Fraction(2, 5),
+                       (1, 2, 3): -2})
+    assert mixed == {p: c / 15 for p, c in ints.items()}
+    assert mixed == {0: Fraction(-4, 5), 3: Fraction(-7, 3),
+                     5: Fraction(-1, 3)}
+
+
 def _mobius(n):
     out, p = 1, 2
     while p * p <= n:

@@ -1,8 +1,11 @@
 """Exact linear algebra: echelon, coordinates, RREF, nullspace, transpose."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
-from leibcx.exactla import SparseEchelon, nullspace, rank, rref, transpose
+from leibcx.exactla import (SparseEchelon, _gcd_normalize, nullspace, rank,
+                            rref, transpose)
 
 
 def F(x):
@@ -25,6 +28,26 @@ def test_echelon_fractions_cleared():
     row = ech.rows[0]
     assert all(isinstance(v, int) for v in row.values())
     assert row == {0: 2, 1: 1}
+
+
+def test_echelon_expressions_are_integer_rows():
+    ech = SparseEchelon(track=True)
+    ech.insert({0: Fraction(1, 3), 1: Fraction(2, 5)})
+    ech.insert({0: Fraction(3, 7), 2: Fraction(-1, 4)})
+    ech.insert({1: Fraction(5, 6), 2: Fraction(1, 9)})
+    ech.insert({0: Fraction(1, 2), 1: Fraction(1, 2), 2: Fraction(1, 2)})
+    assert ech.rank == 3
+    for expr, den in ech._exprs:
+        assert isinstance(den, int) and den > 0
+        assert all(type(c) is int and c for c in expr.values())
+        assert gcd(den, *expr.values()) == 1
+    assert ech._exprs[2][1] == 127
+    ech = SparseEchelon(track=True)
+    ech.insert({0: F(2), 1: F(4)})
+    ech.insert({0: F(3), 1: F(1)})
+    assert ech.rows == [{0: 1, 1: 2}, {1: 1}]
+    # row 0 = source 0 / 2, row 1 = (3 * source 0 - 2 * source 1) / 10
+    assert ech._exprs == [({0: 1}, 2), ({0: 3, 1: -2}, 10)]
 
 
 def test_echelon_coordinates_exact():
@@ -84,3 +107,159 @@ def test_transpose_sparse_columns():
     # empty rows and columns survive with the given row count
     assert transpose([{}, {2: F(5)}], 3) == [{}, {}, {1: F(5)}]
     assert transpose([], 2) == [{}, {}]
+
+
+# The elimination before rows were visited only when reached: every stored
+# row is scanned on every call, and the tracked expressions are Fraction
+# dicts.  Kept as the reference for SparseEchelon.
+
+
+def _ref_as_int_vector(vec):
+    items = [(i, c) for i, c in vec.items() if c]
+    if not items:
+        return {}, 1
+    lcm = 1
+    for _, c in items:
+        q = c.denominator if isinstance(c, Fraction) else 1
+        lcm = lcm * q // gcd(lcm, q)
+    return {i: int(c * lcm) for i, c in items}, lcm
+
+
+class _ReferenceEchelon:
+    def __init__(self):
+        self.rows = []
+        self.pivots = {}
+        self._rowpiv = []
+        self._exprs = []
+        self.nsources = 0
+
+    def _reduce(self, vec):
+        res, scale0 = _ref_as_int_vector(vec)
+        scale = scale0
+        gamma = {}
+        for k, row in enumerate(self.rows):
+            piv = self._rowpiv[k]
+            c = res.get(piv, 0)
+            if not c:
+                continue
+            p = row[piv]
+            if c % p == 0:
+                q = c // p
+                for i, rv in row.items():
+                    nv = res.get(i, 0) - q * rv
+                    if nv:
+                        res[i] = nv
+                    else:
+                        res.pop(i, None)
+                gamma[k] = gamma.get(k, 0) + q
+            else:
+                for j in gamma:
+                    gamma[j] *= p
+                scale *= p
+                for i in list(res):
+                    res[i] *= p
+                for i, rv in row.items():
+                    nv = res.get(i, 0) - c * rv
+                    if nv:
+                        res[i] = nv
+                    else:
+                        res.pop(i, None)
+                gamma[k] = gamma.get(k, 0) + c
+        return res, scale, gamma
+
+    def insert(self, vec):
+        src = self.nsources
+        self.nsources += 1
+        res, scale, gamma = self._reduce(vec)
+        res = {i: c for i, c in res.items() if c}
+        if not res:
+            return False
+        res, div = _gcd_normalize(res)
+        expr = {}
+        for k, g in gamma.items():
+            coeff = Fraction(-g, div)
+            for s, c in self._exprs[k].items():
+                v = expr.get(s, 0) + coeff * c
+                if v:
+                    expr[s] = v
+                else:
+                    expr.pop(s, None)
+        v = expr.get(src, 0) + Fraction(scale, div)
+        if v:
+            expr[src] = v
+        self._exprs.append(expr)
+        piv = min(res)
+        self.pivots[piv] = len(self.rows)
+        self._rowpiv.append(piv)
+        self.rows.append(res)
+        return True
+
+    def coordinates(self, vec):
+        res, scale, gamma = self._reduce(vec)
+        if any(res.values()):
+            return None
+        out = {}
+        for k, g in gamma.items():
+            coeff = Fraction(g, scale)
+            for s, c in self._exprs[k].items():
+                v = out.get(s, 0) + coeff * c
+                if v:
+                    out[s] = v
+                else:
+                    out.pop(s, None)
+        return out
+
+
+def _random_vector(rng, ncols, density, rational):
+    vec = {}
+    for i in rng.sample(range(ncols), max(1, int(density * ncols))):
+        num = rng.randint(-9, 9)
+        if num:
+            vec[i] = Fraction(num, rng.randint(1, 6)) if rational else num
+    return vec
+
+
+def _random_combination(rng, vectors):
+    out = {}
+    for v in rng.sample(vectors, min(3, len(vectors))):
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        for i, x in v.items():
+            out[i] = out.get(i, 0) + c * x
+    return {i: x for i, x in out.items() if x}
+
+
+def _items(d):
+    return list(d.items())
+
+
+def test_echelon_matches_all_rows_reference():
+    rng = random.Random(20261018)
+    for trial in range(16):
+        ncols = rng.choice((10, 24))
+        density = rng.choice((0.1, 0.3, 0.9))
+        rational = trial % 2 == 1
+        ech, ref = SparseEchelon(track=True), _ReferenceEchelon()
+        inserted = []
+        for _ in range(ncols + 4):
+            if inserted and rng.random() < 0.3:
+                vec = _random_combination(rng, inserted)
+            else:
+                vec = _random_vector(rng, ncols, density, rational)
+            res, scale, gamma = ech._reduce(vec)
+            want = ref._reduce(vec)
+            assert (_items(res), scale, _items(gamma)) == \
+                (_items(want[0]), want[1], _items(want[2]))
+            assert ech.coordinates(vec) == ref.coordinates(vec)
+            assert ech.insert(vec) == ref.insert(vec)
+            inserted.append(vec)
+            assert [_items(r) for r in ech.rows] == \
+                [_items(r) for r in ref.rows]
+            assert ech.pivots == ref.pivots and ech.rank == len(ref.rows)
+            assert [[(s, Fraction(c, den)) for s, c in expr.items()]
+                    for expr, den in ech._exprs] == \
+                [_items(e) for e in ref._exprs]
+        for vec in [_random_combination(rng, inserted) for _ in range(4)] + \
+                [_random_vector(rng, ncols, density, rational)]:
+            got = ech.coordinates(vec)
+            assert got == ref.coordinates(vec)
+            assert got is None or _items(got) == _items(ref.coordinates(vec))
