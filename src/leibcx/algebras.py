@@ -1,8 +1,10 @@
 """Finite-dimensional Leibniz algebras over the rationals.
 
 An algebra is stored by structure constants: bracket(i, j) returns the
-coordinates of [e_i, e_j] as {k: Fraction} with 1-based indices
-everywhere.  The left Leibniz identity
+coordinates of [e_i, e_j] as {k: coeff} with 1-based indices everywhere;
+an integral constant is kept as an int, any other as a Fraction, so the
+complexes of integral algebras run on machine-size integers.  The left
+Leibniz identity
 
     [x, [y, z]] = [[x, y], z] + [y, [x, z]]
 
@@ -42,7 +44,7 @@ class LeibnizAlgebra:
                 self._check_index(k)
                 v = Fraction(v)
                 if v:
-                    entry[k] = v
+                    entry[k] = v.numerator if v.denominator == 1 else v
             if entry:
                 c[(i, j)] = entry
         self._c = c
@@ -53,7 +55,7 @@ class LeibnizAlgebra:
                 f"basis index {i!r} out of range 1..{self.dim}")
 
     def bracket(self, i, j):
-        """Coordinates of [e_i, e_j] as {k: Fraction}."""
+        """Coordinates of [e_i, e_j] as {k: int or Fraction}."""
         return self._c.get((i, j), {})
 
     def symmetrized(self, i, j):

@@ -244,25 +244,41 @@ def _shifted_homology(dims, ranks):
             for n in range(len(dims) - 1)}
 
 
+def _ranks(dims, matrix):
+    # ranks of d_2..d_N, where dims covers degrees 1..N; each is bounded
+    # by d o d = 0, so they are taken in increasing degree
+    ranks = {}
+    for n in range(2, len(dims) + 1):
+        ranks[n] = rank(matrix(n), upper=dims[n - 1] - ranks.get(n - 1, 0))
+    return ranks
+
+
 def homology(algebra, max_degree=4, loday=False):
     """Dimension table of the shifted homology HA_n (and HL_n if asked).
 
     Needs max_degree >= 2.  Returns dims of F^1..F^max_degree, the ranks
     of del_2..del_max_degree, and HA_0..HA_(max_degree-2); with loday,
     the same for the tensor complex.
+
+    The ranks are taken in increasing degree.  del o del = 0 puts the
+    image of del_n inside the kernel of del_(n-1), so rank del_n is at
+    most dim F^(n-1) - rank del_(n-1), and the same holds for del_L.
+    rank() takes this as its upper bound: a rank modulo a prime that
+    reaches it is exact.  Exact elimination runs only where it does not,
+    that is where the homology at F^(n-1) is nonzero (or the prime is
+    unlucky).  require_leibniz runs first, so both squares vanish.
     """
     from .algebras import require_leibniz
     require_leibniz(algebra)
     if max_degree < 2:
         raise InputError("--max-degree must be at least 2")
     m = algebra.dim
-    degrees = range(2, max_degree + 1)
     dims = {n: free_lie_basis(m, n).dim for n in range(1, max_degree + 1)}
-    ranks = {n: rank(boundary_matrix(algebra, n)) for n in degrees}
+    ranks = _ranks(dims, lambda n: boundary_matrix(algebra, n))
     out = {"dims": dims, "ranks": ranks, "HA": _shifted_homology(dims, ranks)}
     if loday:
         tdims = {n: m ** n for n in range(1, max_degree + 1)}
-        tranks = {n: rank(loday_matrix(algebra, n)) for n in degrees}
+        tranks = _ranks(tdims, lambda n: loday_matrix(algebra, n))
         out["tensor_dims"] = tdims
         out["tensor_ranks"] = tranks
         out["HL"] = _shifted_homology(tdims, tranks)

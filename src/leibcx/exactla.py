@@ -1,12 +1,13 @@
 """Exact sparse linear algebra over the rationals.
 
-Vectors are dicts {index: Fraction} holding only nonzero entries.  The
-workhorse is SparseEchelon, an incremental fraction-free row echelon:
-rows are kept as integer dicts and reduction multiplies through by pivot
-values instead of dividing, so no Fraction arithmetic happens in the hot
-loop.  Reduction applies the stored rows in insertion order, but visits
-only the rows whose pivot the residue reaches (a heap of row positions,
-fed as updates create entries at pivots), as in sparse partial pivoting.
+Vectors are dicts {index: int or Fraction} holding only nonzero entries.
+There is one exact engine, SparseEchelon, an incremental fraction-free
+row echelon: rows are kept as integer dicts and reduction multiplies
+through by pivot values instead of dividing, so no Fraction arithmetic
+happens in the hot loop.  Reduction applies the stored rows in insertion
+order, but visits only the rows whose pivot the residue reaches (a heap
+of row positions, fed as updates create entries at pivots), as in sparse
+partial pivoting.
 With track=True each accepted row also carries its expression over the
 inserted source vectors, fraction-free as well: integer coefficients over
 one positive denominator.  Coordinate recovery (membership certificates)
@@ -16,6 +17,11 @@ the coordinates it returns.
 A matrix is a list of such vectors: the columns for boundary maps, the
 rows where rref and nullspace say so.  rref and nullspace are thin
 canonical read-outs of a SparseEchelon; they return sparse rows too.
+
+Beside the engine sits a rank modulo a word-sized prime, a lower bound
+on the rank over Q.  rank() uses it only for callers that hold a proven
+upper bound (homology, by del o del = 0): when the two meet, the rank is
+exact without elimination over Z; otherwise SparseEchelon decides.
 """
 
 from fractions import Fraction
@@ -193,8 +199,62 @@ def _echelon(rows):
     return ech
 
 
-def rank(rows):
-    """Rank of a list of sparse vectors (dicts)."""
+_PRIME = 1073741789   # the largest prime below 2**30
+
+
+def _rank_mod_prime(vectors):
+    # rank of the vectors reduced modulo _PRIME: a lower bound on their
+    # rank over Q, since clearing a vector's denominators only scales it
+    # and a minor that is nonzero mod p is nonzero.  Rows are monic and
+    # visited as in SparseEchelon._reduce: in insertion order, only the
+    # rows whose pivot the residue holds.
+    p = _PRIME
+    rows, rowpiv, pivots = [], [], {}
+    for vec in vectors:
+        res = {}
+        for i, c in _as_int_vector(vec)[0].items():
+            c %= p
+            if c:
+                res[i] = c
+        heap = [pivots[i] for i in res if i in pivots]
+        heapify(heap)
+        while heap:
+            k = heappop(heap)
+            q = res.get(rowpiv[k])
+            if not q:
+                continue      # cancelled again, or pushed twice
+            for i, rv in rows[k].items():
+                v = res.get(i)
+                if v is None:
+                    res[i] = -q * rv % p
+                    j = pivots.get(i)
+                    if j is not None:
+                        heappush(heap, j)
+                else:
+                    v = (v - q * rv) % p
+                    if v:
+                        res[i] = v
+                    else:
+                        del res[i]
+        if res:
+            piv = min(res)
+            inv = pow(res[piv], -1, p)
+            pivots[piv] = len(rows)
+            rowpiv.append(piv)
+            rows.append({i: c * inv % p for i, c in res.items()})
+    return len(rows)
+
+
+def rank(rows, upper=None):
+    """Rank of a list of sparse vectors (dicts).
+
+    upper, if given, must be a proven upper bound on the rank, such as
+    the one del o del = 0 gives a boundary map.  The rank modulo a prime
+    is a lower bound, so when it reaches upper it is the rank; otherwise
+    (nonzero homology, or an unlucky prime) the exact elimination runs.
+    """
+    if upper is not None and _rank_mod_prime(rows) == upper:
+        return upper
     return _echelon(rows).rank
 
 

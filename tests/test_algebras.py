@@ -40,6 +40,15 @@ def test_bracket_vectors():
     assert sl2.bracket_vectors({2: 1, 3: 1}, {2: 1, 3: 1}) == {}
 
 
+def test_integral_constants_stay_int():
+    values = catalog.get("sl2").bracket(1, 2).values()
+    assert values and all(type(v) is int for v in values)
+    half = LeibnizAlgebra(2, {(1, 1): {2: "1/2", 1: "4/2"}})
+    assert half.bracket(1, 1) == {2: Fraction(1, 2), 1: 2}
+    assert type(half.bracket(1, 1)[2]) is Fraction
+    assert type(half.bracket(1, 1)[1]) is int
+
+
 def test_symmetric_ideal_frozen():
     rows, pivots = symmetric_ideal(catalog.get("L2"))
     assert rows == [{1: Fraction(1)}] and pivots == [1]

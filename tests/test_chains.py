@@ -1,11 +1,12 @@
 """Basis slices, boundaries, homology tables, and the graded Lie suite."""
 
 import itertools
+import os
 from fractions import Fraction
 
 import pytest
 
-from leibcx import catalog
+from leibcx import catalog, exactla
 from leibcx.complexes import (DGLA, boundary_apply, boundary_matrix,
                               boundary_square_report, boundary_word_terms,
                               dgla_suite, free_lie_basis, homology,
@@ -13,7 +14,8 @@ from leibcx.complexes import (DGLA, boundary_apply, boundary_matrix,
                               kernel2_basis, loday_apply, loday_matrix,
                               omega0)
 from leibcx.errors import InputError
-from leibcx.exactla import SparseEchelon
+from leibcx.exactla import SparseEchelon, rank
+from leibcx.fileio import parse_algebra_file
 from leibcx.words import LieElement, TensorElement, embedded_word
 
 FROZEN_DIMS = {
@@ -184,6 +186,41 @@ def test_homology_loday_frozen():
     assert rep["HL"] == {0: 0, 1: 0, 2: 0, 3: 0}
     rep = homology(catalog.get("heis3"), max_degree=5, loday=True)
     assert rep["HL"] == {0: 2, 1: 5, 2: 10, 3: 22}
+
+
+SL2_CONJ0 = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         "data", "sl2_conj0.json")
+
+
+def test_certified_ranks_match_exact_elimination():
+    # the plain exact rank of every boundary is the reference for the
+    # ranks homology certifies by del o del = 0
+    cases = [(catalog.get(name), 6, True) for name in catalog.VALID_NAMES]
+    cases.append((parse_algebra_file(SL2_CONJ0), 7, False))
+    for A, N, loday in cases:
+        rep = homology(A, max_degree=N, loday=loday)
+        degrees = range(2, N + 1)
+        assert rep["ranks"] == {
+            n: rank(boundary_matrix(A, n)) for n in degrees}, A.name
+        if loday:
+            assert rep["tensor_ranks"] == {
+                n: rank(loday_matrix(A, n)) for n in degrees}, A.name
+
+
+def test_certified_ranks_skip_exact_elimination(monkeypatch):
+    # on the sl2 conjugate only del_2 and del_3 (6 and 8 columns) sit
+    # next to nonzero homology; every other rank is certified mod p
+    sizes = []
+    echelon = exactla._echelon
+
+    def counting(rows):
+        sizes.append(len(rows))
+        return echelon(rows)
+
+    monkeypatch.setattr(exactla, "_echelon", counting)
+    rep = homology(parse_algebra_file(SL2_CONJ0), max_degree=7)
+    assert rep["ranks"] == {2: 0, 3: 5, 4: 3, 5: 15, 6: 33, 7: 91}
+    assert sizes == [6, 8]
 
 
 def test_homology_rejects_bad_input():

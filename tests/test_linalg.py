@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from leibcx.exactla import (SparseEchelon, _gcd_normalize, nullspace, rank,
-                            rref, transpose)
+from leibcx.exactla import (_PRIME, SparseEchelon, _gcd_normalize,
+                            _rank_mod_prime, nullspace, rank, rref,
+                            transpose)
 
 
 def F(x):
@@ -89,6 +90,16 @@ def test_rank_matches_dense_rref():
     assert len(red) == 2 and pivots == [0, 1]
     assert red[0] == {0: F(1), 2: F(1)}
     assert red[1] == {1: F(1), 2: F(1)}
+
+
+def test_rank_upper_bound_falls_back_on_unlucky_prime():
+    vecs = [{0: 1, 1: 1}, {0: 1, 1: 1 + _PRIME}]
+    assert _rank_mod_prime(vecs) == 1
+    assert rank(vecs, upper=2) == 2
+    # a bound that is met is trusted, not checked: it must be proven
+    assert rank(vecs, upper=1) == 1
+    assert rank([{0: Fraction(1, 2)}, {0: Fraction(1, 3), 1: Fraction(2, 5)}],
+                upper=2) == 2
 
 
 def test_nullspace_canonical():
@@ -263,3 +274,16 @@ def test_echelon_matches_all_rows_reference():
             got = ech.coordinates(vec)
             assert got == ref.coordinates(vec)
             assert got is None or _items(got) == _items(ref.coordinates(vec))
+
+
+def test_rank_mod_prime_matches_exact_rank():
+    # a lower bound that the dependencies of random rational vectors
+    # do not escape: each combination is dependent mod p as well
+    rng = random.Random(7)
+    for trial in range(20):
+        ncols = rng.choice((6, 16))
+        vecs = [_random_vector(rng, ncols, rng.choice((0.2, 0.9)), trial % 2)
+                for _ in range(rng.randint(1, ncols))]
+        vecs += [_random_combination(rng, vecs) for _ in range(4)]
+        rng.shuffle(vecs)
+        assert _rank_mod_prime(vecs) == rank(vecs), trial
