@@ -12,7 +12,8 @@ is checked on all basis triples; validate() reports every failing triple
 with both sides so a bad input is diagnosable, not just rejected.
 
 Also here: the two-sided symmetric ideal, the quotient Lie algebra
-(liezation) with its projection matrix, the double g (+) g* with the
+(liezation) with its projection matrix, the left and right coadjoint
+actions of g on g*, the double g (+) g* built from them with the
 canonical symplectic-style pairing, optional twisting by a scalar
 3-cochain, and the anti-invariance checks for bilinear forms.
 """
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .exactla import SparseEchelon, rref
-from .words import _combine
+from .words import _add_term, _combine
 
 
 class LeibnizAlgebra:
@@ -68,11 +69,7 @@ class LeibnizAlgebra:
         for i, ca in a.items():
             for j, cb in b.items():
                 for k, v in self.bracket(i, j).items():
-                    nv = out.get(k, 0) + ca * cb * v
-                    if nv:
-                        out[k] = nv
-                    else:
-                        out.pop(k, None)
+                    _add_term(out, k, ca * cb * v)
         return out
 
     def items(self):
@@ -91,13 +88,9 @@ class LeibnizAlgebra:
                 inner = self.bracket(i, j)
                 for k in range(1, self.dim + 1):
                     lhs = self.bracket_vectors({i: 1}, self.bracket(j, k))
-                    rhs = self.bracket_vectors(inner, {k: 1})
-                    for l, v in self.bracket_vectors({j: 1}, self.bracket(i, k)).items():
-                        nv = rhs.get(l, 0) + v
-                        if nv:
-                            rhs[l] = nv
-                        else:
-                            rhs.pop(l, None)
+                    rhs = _combine(
+                        self.bracket_vectors(inner, {k: 1}),
+                        self.bracket_vectors({j: 1}, self.bracket(i, k)))
                     if lhs != rhs:
                         failures.append(((i, j, k), lhs, rhs))
         return ValidationReport(self, failures)
@@ -255,51 +248,81 @@ def check_anti_invariance(algebra, form):
     return {"passed": not failures, "failures": failures}
 
 
+def coad_left(algebra, i, a):
+    """[e_i, a] for a dual vector a: component on e^j is -sum_k c(i,j,k) a_k."""
+    out = {}
+    for j in range(1, algebra.dim + 1):
+        row = algebra.bracket(i, j)
+        total = Fraction(0)
+        for k, ak in a.items():
+            v = row.get(k)
+            if v:
+                total -= v * ak
+        if total:
+            out[j] = total
+    return out
+
+
+def coad_right(algebra, a, i):
+    """[a, e_i]: component on e^j is sum_k (c(j,i,k) + c(i,j,k)) a_k."""
+    out = {}
+    for j in range(1, algebra.dim + 1):
+        sym = algebra.symmetrized(j, i)
+        total = Fraction(0)
+        for k, ak in a.items():
+            total += sym.get(k, 0) * ak
+        if total:
+            out[j] = total
+    return out
+
+
+def require_twist(cocycle, dim):
+    """Refuse a twist that is not a degree-2 scalar cochain on Q^dim."""
+    if cocycle.arity != 3:
+        raise InputError("twisting cochains must have degree 2")
+    if cocycle.dim != dim:
+        raise InputError("cochain dimension does not match the algebra")
+
+
 def double(algebra, cocycle=None):
-    """The double g (+) g* with left/right coadjoint brackets.
+    """The double g (+) g* with the coadjoint actions as mixed products.
 
     Basis: E_1..E_m = e_1..e_m, E_{m+i} = dual vector e^i.  Products:
 
         [E_i, E_j]      = bracket of g           (i, j <= m)
-        [e_i, a]_j      = - sum_k c(i,j,k) a_k   (left action on duals)
-        [a, e_i]_j      = sum_k (c(j,i,k) + c(i,j,k)) a_k
+        [e_i, a]        = coad_left(e_i, a)      (i <= m, a dual)
+        [a, e_i]        = coad_right(a, e_i)
         [a, b]          = 0
 
     cocycle, if given, is a degree-2 dual-valued twist H: the product of
     two base vectors gains the dual-part - sum_l H(i, j, l) e^l, where
-    H(i, j, l) are the coefficients of the scalar 3-cochain.  Returns
+    H(i, j, l) are the coefficients of the scalar 3-cochain.  A cocycle
+    of another arity or dimension raises InputError.  Returns
     (double_algebra, omega_form).
     """
+    if cocycle is not None:
+        require_twist(cocycle, algebra.dim)
     require_leibniz(algebra)
     m = algebra.dim
     brackets = {}
     for i in range(1, m + 1):
         for j in range(1, m + 1):
-            entry = {k: v for k, v in algebra.bracket(i, j).items()}
+            entry = dict(algebra.bracket(i, j))
             if cocycle is not None:
                 for l in range(1, m + 1):
                     h = cocycle.coefficient((i, j, l))
                     if h:
-                        entry[m + l] = entry.get(m + l, 0) - h
-            entry = {k: v for k, v in entry.items() if v}
+                        entry[m + l] = -h
             if entry:
                 brackets[(i, j)] = entry
     for i in range(1, m + 1):
         for a in range(1, m + 1):
-            # [e_i, e^a]: component on e^j is -c(i, j, a)
-            left = {}
-            right = {}
-            for j in range(1, m + 1):
-                cija = algebra.bracket(i, j).get(a, 0)
-                if cija:
-                    left[m + j] = -cija
-                s = algebra.symmetrized(j, i).get(a, 0)
-                if s:
-                    right[m + j] = s
+            left = coad_left(algebra, i, {a: 1})
+            right = coad_right(algebra, {a: 1}, i)
             if left:
-                brackets[(i, m + a)] = left
+                brackets[(i, m + a)] = {m + j: c for j, c in left.items()}
             if right:
-                brackets[(m + a, i)] = right
+                brackets[(m + a, i)] = {m + j: c for j, c in right.items()}
     name = (algebra.name or "g") + "_double"
     if cocycle is not None:
         name += "_twisted"

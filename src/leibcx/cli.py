@@ -41,11 +41,12 @@ def _resolve_algebra(source):
     return parse_algebra_file(source), None
 
 
-def _emit(report, args, exit_code):
+def _emit(report, args, exit_code, payload=None):
+    """Print report; -o writes payload (default: report) as canonical JSON."""
     text = canonical_json(report)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(text if payload is None else canonical_json(payload))
     if args.format == "json":
         sys.stdout.write(text)
     else:
@@ -121,13 +122,7 @@ def _cmd_omega0(args):
 
 def _cmd_double(args):
     algebra, _ = _resolve_algebra(args.algebra)
-    cocycle = None
-    if args.cocycle:
-        cocycle = parse_cochain_file(args.cocycle)
-        if cocycle.arity != 3:
-            raise InputError("twisting cochains must have degree 2")
-        if cocycle.dim != algebra.dim:
-            raise InputError("cochain dimension does not match the algebra")
+    cocycle = parse_cochain_file(args.cocycle) if args.cocycle else None
     dbl, omega = double(algebra, cocycle)
     validated = dbl.validate().passed
     anti = check_anti_invariance(dbl, omega)
@@ -136,14 +131,8 @@ def _cmd_double(args):
               "double_dim": dbl.dim, "twisted": cocycle is not None,
               "leibniz": validated, "anti_invariant": anti["passed"],
               "algebra": doc}
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(doc))
-    if args.format == "json":
-        sys.stdout.write(canonical_json(report))
-    else:
-        _print_text(report)
-    return 0 if validated and anti["passed"] else 1
+    return _emit(report, args, 0 if validated and anti["passed"] else 1,
+                 payload=doc)
 
 
 def _cmd_dr(args):
@@ -244,16 +233,7 @@ def _cmd_catalog(args):
             entries.append({"name": name, "dim": alg.dim,
                             "leibniz": alg.validate().passed})
         return _emit({"command": "catalog", "entries": entries}, args, 0)
-    alg = _catalog.get(args.name)
-    doc = algebra_to_doc(alg)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(doc))
-    if args.format == "json":
-        sys.stdout.write(canonical_json(doc))
-    else:
-        _print_text(doc)
-    return 0
+    return _emit(algebra_to_doc(_catalog.get(args.name)), args, 0)
 
 
 def build_parser():

@@ -7,14 +7,19 @@ arity up, with a sign (the pairing puts the dual slot first).
 
 The coboundary on scalar cochains precomposes with the bracket-word
 expansion of the boundary; on dual-valued cochains the differential uses
-the left/right coadjoint actions.  The two are intertwined by lowering,
-up to the sign (-1)^arity, and that compatibility is one of the certified
-statements.
+the left/right coadjoint actions of algebras.py, the pair that also
+builds the mixed products of the double.  The two are intertwined by
+lowering, up to the sign (-1)^arity, and that compatibility is one of
+the certified statements.
 
 A scalar cochain A of arity n+1 is anti-cyclic when evaluating it on the
 tensor expansion of the bracket word w returns (n+1) A(w) for every w.
-Anti-cyclic cochains of arity n+1 correspond one-to-one to functionals
-on F^(n+1).  The theorem used here: the coboundary preserves the
+_anti_cyclic_defect computes (n+1) A(w) - A(eps{w}); the anti-cyclic
+test, the defining constraint rows and the subcomplex certificate all
+read it.  Anti-cyclic cochains of arity n+1 correspond one-to-one to
+functionals on F^(n+1): from_implicit builds the cochain of a vector of
+values on the basis words, and the basis cochains are from_implicit of
+the unit vectors.  The theorem used here: the coboundary preserves the
 anti-cyclic cochains, and in those implicit coordinates it is the
 transpose of the chain boundary two degrees up.  So the cochain side is
 not computed again: cohomology relabels the homology table, the
@@ -24,19 +29,16 @@ theorem from the per-word coboundary; check --suite subcomplex and the
 tests run it.
 """
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 
+from .algebras import coad_left, coad_right, require_leibniz, require_twist
 from .errors import InputError
 from .exactla import SparseEchelon, nullspace, transpose
-from .words import _add_term, embedded_word
+from .words import (_add_term, _combine, _extend, embedded_word,
+                    tensor_words)
 from .complexes import (boundary_matrix, boundary_word_terms, free_lie_basis,
                         homology)
-
-
-def _all_words(m, length):
-    return itertools.product(range(1, m + 1), repeat=length)
 
 
 class Cochain:
@@ -85,16 +87,12 @@ class Cochain:
         return hash((self.arity, self.dim, frozenset(self.coeffs.items())))
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            _add_term(out, w, c)
-        return Cochain(self.arity, self.dim, out)
+        return Cochain(self.arity, self.dim,
+                       _combine(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            _add_term(out, w, -c)
-        return Cochain(self.arity, self.dim, out)
+        return Cochain(self.arity, self.dim,
+                       _combine(self.coeffs, other.coeffs, -1))
 
     def __rmul__(self, scalar):
         scalar = Fraction(scalar)
@@ -162,34 +160,6 @@ def lower(f):
     return Cochain(f.arity + 1, f.dim, out)
 
 
-def coad_left(algebra, i, a):
-    """[e_i, a] for a dual vector a: component on e^j is -sum_k c(i,j,k) a_k."""
-    out = {}
-    for j in range(1, algebra.dim + 1):
-        row = algebra.bracket(i, j)
-        total = Fraction(0)
-        for k, ak in a.items():
-            v = row.get(k)
-            if v:
-                total -= v * ak
-        if total:
-            out[j] = total
-    return out
-
-
-def coad_right(algebra, a, i):
-    """[a, e_i]: component on e^j is sum_k (c(j,i,k) + c(i,j,k)) a_k."""
-    out = {}
-    for j in range(1, algebra.dim + 1):
-        sym = algebra.symmetrized(j, i)
-        total = Fraction(0)
-        for k, ak in a.items():
-            total += sym.get(k, 0) * ak
-        if total:
-            out[j] = total
-    return out
-
-
 def lp_differential(algebra, f):
     """Differential of a dual-valued cochain, arity n -> n+1.
 
@@ -200,7 +170,7 @@ def lp_differential(algebra, f):
     m = f.dim
     n = f.arity
     out = {}
-    for w in _all_words(m, n + 1):
+    for w in tensor_words(m, n + 1):
         val = {}
         head = f.value(w[:n])
         if head:
@@ -230,7 +200,7 @@ def lp_coboundary(algebra, cochain):
     m = cochain.dim
     a = cochain.arity
     out = {}
-    for w in _all_words(m, a + 1):
+    for w in tensor_words(m, a + 1):
         total = cochain.apply_terms(
             boundary_word_terms(algebra, w, "alt"))
         if total:
@@ -241,32 +211,27 @@ def lp_coboundary(algebra, cochain):
 def _anti_cyclic_defect(values, word):
     """arity * V(w) - V(expansion of {w}) for vector values V.
 
-    values maps the words of one length to vectors {key: Fraction}, one
+    values maps the words of one length to vectors {key: coeff}, one
     cochain per key; the cochain of key k is anti-cyclic exactly when k
     appears in no word's defect.
     """
-    out = {k: len(word) * c for k, c in values.get(word, {}).items()}
-    for tw, k in embedded_word(word).items():
-        for i, c in values.get(tw, {}).items():
-            _add_term(out, i, -k * c)
-    return out
+    own = {k: len(word) * c for k, c in values.get(word, {}).items()}
+    expanded = _extend(embedded_word(word), lambda tw: values.get(tw, {}))
+    return _combine(own, expanded, -1)
 
 
 def is_anti_cyclic(cochain):
     """A(w) equals 1/arity times A evaluated on the expansion of {w}."""
     values = {w: {0: c} for w, c in cochain.coeffs.items()}
     return not any(_anti_cyclic_defect(values, w)
-                   for w in _all_words(cochain.dim, cochain.arity))
+                   for w in tensor_words(cochain.dim, cochain.arity))
 
 
 @lru_cache(maxsize=None)
 def bracket_coords_table(m, length):
     """coords of the bracket word {w} over the basis slice, for every w."""
     sl = free_lie_basis(m, length)
-    table = {}
-    for w in _all_words(m, length):
-        table[w] = sl.coords({w: Fraction(1)})
-    return table
+    return {w: sl.coords({w: 1}) for w in tensor_words(m, length)}
 
 
 def anti_cyclic_basis(m, degree):
@@ -275,18 +240,9 @@ def anti_cyclic_basis(m, degree):
     A_k(w) = k-th coordinate of the bracket word {w} over the basis of
     F^(n+1); there are dim F^(n+1) of them and they are independent.
     """
-    length = degree + 1
-    table = bracket_coords_table(m, length)
-    count = free_lie_basis(m, length).dim
-    out = []
-    for k in range(count):
-        coeffs = {}
-        for w, coords in table.items():
-            c = coords.get(k)
-            if c:
-                coeffs[w] = c
-        out.append(Cochain(length, m, coeffs))
-    return out
+    count = free_lie_basis(m, degree + 1).dim
+    return [from_implicit([int(j == k) for j in range(count)], m, degree)
+            for k in range(count)]
 
 
 def to_implicit(cochain, check=True):
@@ -298,15 +254,20 @@ def to_implicit(cochain, check=True):
 
 
 def from_implicit(vector, m, degree):
-    """Anti-cyclic cochain of the given degree from implicit coordinates."""
+    """Anti-cyclic cochain of the given degree from implicit coordinates.
+
+    vector holds one value per basis word of F^(degree+1); a vector of
+    another length raises InputError.
+    """
     length = degree + 1
-    table = bracket_coords_table(m, length)
+    count = free_lie_basis(m, length).dim
+    if len(vector) != count:
+        raise InputError(
+            f"implicit vector has {len(vector)} entries, expected {count}")
+    values = {k: Fraction(v) for k, v in enumerate(vector) if v}
     coeffs = {}
-    for w, coords in table.items():
-        total = Fraction(0)
-        for k, c in coords.items():
-            if k < len(vector):
-                total += c * Fraction(vector[k])
+    for w, coords in bracket_coords_table(m, length).items():
+        total = sum(c * values[k] for k, c in coords.items() if k in values)
         if total:
             coeffs[w] = total
     return Cochain(length, m, coeffs)
@@ -338,12 +299,12 @@ def subcomplex_report(algebra, degree):
     length = degree + 2
     dst = free_lie_basis(m, length - 1)
     values = {}
-    for w in _all_words(m, length):
+    for w in tensor_words(m, length):
         terms = boundary_word_terms(algebra, w, "alt")
         if terms:
             values[w] = dst.coords(terms)
     preserved = not any(_anti_cyclic_defect(values, w)
-                        for w in _all_words(m, length))
+                        for w in tensor_words(m, length))
     rows = [values.get(b, {}) for b in free_lie_basis(m, length).words]
     mat = coboundary_matrix_on_anti_cyclic(algebra, degree)
     return {"preserved": preserved,
@@ -374,12 +335,8 @@ def classify_extension(algebra, hcochain):
     implicit vector against the coboundary space and reports triviality
     plus coordinates over an exact basis of the degree-2 cohomology.
     """
-    from .algebras import require_leibniz
+    require_twist(hcochain, algebra.dim)
     require_leibniz(algebra)
-    if hcochain.arity != 3:
-        raise InputError("extension classes live in arity 3")
-    if hcochain.dim != algebra.dim:
-        raise InputError("cochain dimension does not match the algebra")
     anti = is_anti_cyclic(hcochain)
     closed = lp_coboundary(algebra, hcochain).is_zero()
     out = {"anti_cyclic": anti, "closed": closed,
@@ -412,18 +369,26 @@ def anti_cyclic_constraint_rows(m, arity):
     """Defining constraints of the anti-cyclic space as integer rows.
 
     Coordinates index the length-arity words; one row per word w:
-    arity * A(w) - A(expansion of {w}) = 0.
+    arity * A(w) - A(expansion of {w}) = 0, the defect of the unit
+    cochains, one per coordinate.
     """
-    words = list(_all_words(m, arity))
+    words = tensor_words(m, arity)
     idx = {w: i for i, w in enumerate(words)}
-    rows = []
-    for w in words:
-        row = {idx[w]: Fraction(arity)}
-        for tw, k in embedded_word(w).items():
-            _add_term(row, idx[tw], Fraction(-k))
-        if row:
-            rows.append(row)
-    return rows, idx
+    units = {w: {i: 1} for w, i in idx.items()}
+    rows = [_anti_cyclic_defect(units, w) for w in words]
+    return [row for row in rows if row], idx
+
+
+# Per arity, each identity is a signed sum of slot permutations of one word
+# w: the term (sign, perm) stands for sign * A(w[perm[0]], w[perm[1]], ...).
+_SYMMETRY_IDENTITIES = {
+    3: (((1, (0, 1, 2)), (-1, (0, 2, 1))),
+        ((1, (0, 1, 2)), (1, (1, 2, 0)), (1, (2, 0, 1)))),
+    4: (((1, (0, 1, 2, 3)), (-1, (0, 1, 3, 2))),
+        ((1, (0, 1, 2, 3)), (1, (0, 2, 3, 1)), (1, (0, 3, 1, 2))),
+        ((1, (0, 1, 2, 3)), (1, (1, 0, 2, 3)), (1, (2, 3, 0, 1)),
+         (1, (3, 2, 0, 1)))),
+}
 
 
 def symmetry_identity_rows(m, arity):
@@ -432,42 +397,22 @@ def symmetry_identity_rows(m, arity):
     Arity 3: A(i,j,k) = A(i,k,j) and the cyclic sum vanishes.
     Arity 4: A(i,j,k,l) = A(i,j,l,k), the cyclic sum over the last three
     slots vanishes, and A(ijkl) + A(jikl) + A(klij) + A(lkij) = 0.
+    One row per word and identity, in that order, as integer rows.
     """
-    words = list(_all_words(m, arity))
+    identities = _SYMMETRY_IDENTITIES.get(arity)
+    if identities is None:
+        raise InputError("identity rows are tabulated for arity 3 and 4 only")
+    words = tensor_words(m, arity)
     idx = {w: i for i, w in enumerate(words)}
     rows = []
-    if arity == 3:
-        for (i, j, k) in words:
+    for w in words:
+        for identity in identities:
             row = {}
-            _add_term(row, idx[(i, j, k)], Fraction(1))
-            _add_term(row, idx[(i, k, j)], Fraction(-1))
+            for sign, perm in identity:
+                _add_term(row, idx[tuple(w[p] for p in perm)], sign)
             if row:
                 rows.append(row)
-            row = {}
-            for w in ((i, j, k), (j, k, i), (k, i, j)):
-                _add_term(row, idx[w], Fraction(1))
-            if row:
-                rows.append(row)
-        return rows, idx
-    if arity == 4:
-        for (i, j, k, l) in words:
-            row = {}
-            _add_term(row, idx[(i, j, k, l)], Fraction(1))
-            _add_term(row, idx[(i, j, l, k)], Fraction(-1))
-            if row:
-                rows.append(row)
-            row = {}
-            for w in ((i, j, k, l), (i, k, l, j), (i, l, j, k)):
-                _add_term(row, idx[w], Fraction(1))
-            if row:
-                rows.append(row)
-            row = {}
-            for w in ((i, j, k, l), (j, i, k, l), (k, l, i, j), (l, k, i, j)):
-                _add_term(row, idx[w], Fraction(1))
-            if row:
-                rows.append(row)
-        return rows, idx
-    raise InputError("identity rows are tabulated for arity 3 and 4 only")
+    return rows, idx
 
 
 def same_row_space(rows_a, rows_b):

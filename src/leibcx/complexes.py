@@ -20,15 +20,14 @@ embeddings: the free bracket is the super-commutator there, and del is
 applied as del_L, which equals it on embeddings by the intertwining.
 """
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .errors import InputError
-from .exactla import SparseEchelon, nullspace, rank, transpose
-from .words import (LieElement, TensorElement, _add_term, _combine,
-                    embedded_word, super_commutator)
+from .exactla import (SparseEchelon, _as_int_vector, nullspace, rank,
+                      transpose)
+from .words import (LieElement, TensorElement, _add_term, _combine, _extend,
+                    embedded_word, super_commutator, tensor_words)
 
 
 class LieBasisSlice:
@@ -66,21 +65,15 @@ class LieBasisSlice:
     def coords(self, element):
         """Coordinates of a LieElement (or raw bracket-word dict)."""
         terms = element.terms if isinstance(element, TensorElement) else element
-        # coordinates are linear: embed den * element in integers and
-        # divide the coordinates by den
-        den = lcm(*(c.denominator for c in terms.values()))
-        emb = {}
-        for w, c in terms.items():
-            c = c.numerator * (den // c.denominator)
-            for tw, k in embedded_word(w).items():
-                _add_term(emb, tw, c * k)
-        raw = self.echelon.coordinates(emb)
+        # coordinates are linear: embed den * element, which has integer
+        # coefficients, so the expansion sums no Fractions
+        ints, den = _as_int_vector(terms)
+        raw = self.echelon.coordinates(_extend(ints, embedded_word))
         if raw is None:
             raise InputError(
                 f"element is outside the degree-{self.degree} span")
-        if den == 1:
-            return {self._src_pos[s]: c for s, c in raw.items()}
-        return {self._src_pos[s]: c / den for s, c in raw.items()}
+        return {self._src_pos[s]: c if den == 1 else c / den
+                for s, c in raw.items()}
 
     def element(self, coords):
         return LieElement({self.words[p]: c for p, c in coords.items() if c})
@@ -135,16 +128,13 @@ def boundary_word_terms(algebra, word, variant="main"):
     raise InputError(f"unknown boundary variant {variant!r}")
 
 
-def boundary_apply(algebra, element, variant="main"):
+def boundary_apply(algebra, element):
     """del of a LieElement; result is a LieElement one degree down."""
-    out = {}
-    for w, c in element.terms.items():
-        for nw, k in boundary_word_terms(algebra, w, variant).items():
-            _add_term(out, nw, c * k)
-    return LieElement._raw(out)
+    return LieElement._raw(_extend(
+        element.terms, lambda w: boundary_word_terms(algebra, w)))
 
 
-def boundary_matrix(algebra, n, variant="main"):
+def boundary_matrix(algebra, n):
     """Matrix of del: F^n -> F^(n-1) as sparse columns.
 
     Column j is {row: Fraction}, the coordinates over the basis of
@@ -156,22 +146,15 @@ def boundary_matrix(algebra, n, variant="main"):
     dst = free_lie_basis(m, n - 1)
     cols = []
     for w in free_lie_basis(m, n).words:
-        terms = boundary_word_terms(algebra, w, variant)
+        terms = boundary_word_terms(algebra, w)
         cols.append(dst.coords(terms) if terms else {})
     return cols
 
 
 def loday_apply(algebra, element):
     """del_L of a TensorElement of plain words."""
-    out = {}
-    for w, c in element.terms.items():
-        for nw, k in boundary_word_terms(algebra, w, "loday").items():
-            _add_term(out, nw, c * k)
-    return TensorElement._raw(out)
-
-
-def tensor_words(m, n):
-    return list(itertools.product(range(1, m + 1), repeat=n))
+    return TensorElement._raw(_extend(
+        element.terms, lambda w: boundary_word_terms(algebra, w, "loday")))
 
 
 def loday_matrix(algebra, n):
@@ -194,7 +177,7 @@ def boundary_square_report(algebra, max_degree=5):
     m = algebra.dim
     failures = {"main": [], "loday": [], "variants": []}
     for n in range(2, max_degree + 1):
-        for w in itertools.product(range(1, m + 1), repeat=n):
+        for w in tensor_words(m, n):
             t1 = boundary_word_terms(algebra, w, "main")
             t2 = boundary_word_terms(algebra, w, "alt")
             if t1 != t2:
@@ -224,7 +207,7 @@ def intertwining_report(algebra, max_length=5):
     m = algebra.dim
     failures = []
     for n in range(1, max_length + 1):
-        for w in itertools.product(range(1, m + 1), repeat=n):
+        for w in tensor_words(m, n):
             lhs = loday_apply(
                 algebra, TensorElement._raw(dict(embedded_word(w))))
             if n >= 2:

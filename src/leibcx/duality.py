@@ -19,8 +19,9 @@ against dual-basis functionals recovers the double's bracket exactly.
 from fractions import Fraction
 from functools import lru_cache
 
+from .algebras import require_twist
 from .errors import InputError
-from .words import TensorElement, _add_term
+from .words import TensorElement, _add_term, _combine, _extend
 from .cochains import Cochain
 
 
@@ -63,10 +64,7 @@ class DualBracketSum:
         return bool(self.terms)
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _add_term(out, w, c)
-        return DualBracketSum._raw(out)
+        return DualBracketSum._raw(_combine(self.terms, other.terms))
 
     def __rmul__(self, scalar):
         scalar = Fraction(scalar)
@@ -75,11 +73,7 @@ class DualBracketSum:
 
     def expansion(self):
         """The honest tensor element behind the symbolic sum."""
-        out = {}
-        for w, c in self.terms.items():
-            for tw, k in dual_bracket_word(w).items():
-                _add_term(out, tw, c * k)
-        return TensorElement._raw(out)
+        return TensorElement._raw(_extend(self.terms, dual_bracket_word))
 
     def arities(self):
         return {len(w) for w in self.terms}
@@ -197,11 +191,14 @@ def structure_tensors(double_alg, omega, base_dim, cocycle=None):
     has basis E_1..E_m (base) and E_{m+1}..E_{2m} (duals).  mu collects
     C(i, j, m+k) = c_ijk of the base on the dual bracket word
     (m+i, m+j, k); theta adds one third of the scalar twist on pure dual
-    words.  Returns (cartan, mu, theta); theta is mu when no twist.
+    words.  Returns (cartan, mu, theta); theta is mu when no twist.  A
+    cocycle of another arity or dimension raises InputError.
     """
     m = base_dim
     if double_alg.dim != 2 * m:
         raise InputError("double dimension must be twice the base dimension")
+    if cocycle is not None:
+        require_twist(cocycle, m)
     cartan = cartan_form(double_alg, omega)
     mu_terms = {}
     for i in range(1, m + 1):

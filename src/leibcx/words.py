@@ -1,10 +1,14 @@
-"""Words, tensor elements, and the bracket-word embedding.
+"""Words, term dicts, tensor elements, and the bracket-word embedding.
 
-A word is a tuple of positive ints naming basis generators.  TensorElement
-is a sparse rational combination of words in the free associative algebra;
-LieElement is the same container but its words are read as iterated
-bracketings {x1, ..., xn} (left-normed higher brackets), compared through
-their associative embeddings.
+A word is a tuple of positive ints naming basis generators.  A term dict
+{word: coeff} holds only nonzero coefficients; _add_term, _combine and
+_extend (the linear extension of a word map) are the arithmetic on them
+that every module shares, and tensor_words enumerates the words of one
+length over an alphabet.  TensorElement is a sparse rational combination
+of words in the free associative algebra; LieElement is the same
+container but its words are read as iterated bracketings {x1, ..., xn}
+(left-normed higher brackets), compared through their associative
+embeddings.
 
 The embedding eps sends {x1,...,xn} to the signed sum of permutation
 words defined by the recursion
@@ -17,6 +21,7 @@ bracket words of a fixed length, which is what makes LieElement equality
 and the echelon-based basis extraction in complexes.py work.
 """
 
+import itertools
 from fractions import Fraction
 
 from .errors import InputError
@@ -35,6 +40,20 @@ def _combine(a, b, sign=1):
     for w, c in b.items():
         _add_term(out, w, sign * c)
     return out
+
+
+def _extend(terms, expand):
+    """Linear extension of a word map: sum of c * expand(w) over terms."""
+    out = {}
+    for w, c in terms.items():
+        for nw, k in expand(w).items():
+            _add_term(out, nw, c * k)
+    return out
+
+
+def tensor_words(m, n):
+    """The m^n words of length n over the alphabet 1..m, in lex order."""
+    return list(itertools.product(range(1, m + 1), repeat=n))
 
 
 _EMBED_CACHE = {(): {}}
@@ -135,11 +154,7 @@ class LieElement(TensorElement):
     __slots__ = ()
 
     def embed(self):
-        out = {}
-        for w, c in self.terms.items():
-            for tw, k in embedded_word(w).items():
-                _add_term(out, tw, c * k)
-        return TensorElement._raw(out)
+        return TensorElement._raw(_extend(self.terms, embedded_word))
 
     def __eq__(self, other):
         if isinstance(other, LieElement):
@@ -191,15 +206,11 @@ def projector_report(max_alphabet=3, max_length=6):
     over smaller alphabets are words over the big one, so one sweep at
     the top alphabet covers them all.
     """
-    import itertools
     failures = []
     for n in range(1, max_length + 1):
-        for w in itertools.product(range(1, max_alphabet + 1), repeat=n):
+        for w in tensor_words(max_alphabet, n):
             e = embedded_word(w)
-            lhs = {}
-            for bw, c in e.items():
-                for tw, k in embedded_word(bw).items():
-                    _add_term(lhs, tw, c * k)
+            lhs = _extend(e, embedded_word)
             rhs = {tw: n * c for tw, c in e.items()}
             if lhs != rhs:
                 failures.append(w)

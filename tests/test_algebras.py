@@ -159,3 +159,16 @@ def test_algebra_input_validation():
         LeibnizAlgebra(2, {(1, 3): {1: 1}})
     with pytest.raises(InputError):
         LeibnizAlgebra(2, {(1, 1): {5: 1}})
+
+
+def test_double_refuses_a_malformed_twist():
+    from leibcx.cochains import Cochain
+    L2 = catalog.get("L2")
+    with pytest.raises(InputError):
+        double(L2, Cochain(2, 2, {(1, 2): 1}))
+    with pytest.raises(InputError):
+        double(L2, Cochain(3, 3, {(1, 2, 3): 1}))
+    # the twist is checked before the Leibniz identity, as on the command
+    # line
+    with pytest.raises(InputError, match="degree 2"):
+        double(catalog.get("B1"), Cochain(2, 1, {}))

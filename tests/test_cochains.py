@@ -215,3 +215,11 @@ def test_bracket_coords_table_consistency():
     sl = free_lie_basis(2, 3)
     for w, coords in table.items():
         assert coords == sl.coords({w: Fraction(1)})
+
+
+def test_from_implicit_refuses_a_wrong_length():
+    # dim F^3 = 2 over two generators
+    for vec in ([], [1], [1, 0, 7], [1, 0, 7, 9]):
+        with pytest.raises(InputError):
+            from_implicit(vec, 2, 2)
+    assert is_anti_cyclic(from_implicit([1, 0], 2, 2))

@@ -118,3 +118,11 @@ def test_recovery_all_catalog_doubles():
         A = catalog.get(name)
         dbl, omega = double(A)
         assert recovery_report(dbl, omega, A.dim)["passed"], name
+
+
+def test_structure_tensors_refuse_a_malformed_twist():
+    from leibcx.cochains import Cochain
+    dbl, omega = double(catalog.get("L2"))
+    for bad in (Cochain(2, 2, {(1, 2): 1}), Cochain(3, 3, {(1, 2, 3): 1})):
+        with pytest.raises(InputError):
+            structure_tensors(dbl, omega, 2, cocycle=bad)
