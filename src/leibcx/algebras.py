@@ -11,8 +11,9 @@ Leibniz identity
 is checked on all basis triples; validate() reports every failing triple
 with both sides so a bad input is diagnosable, not just rejected.
 
-Also here: the two-sided symmetric ideal, the quotient Lie algebra
-(liezation) with its projection matrix, the left and right coadjoint
+Also here: the two-sided symmetric ideal I with the residue map modulo
+it, the quotient Lie algebra (liezation), whose projection matrix and
+bracket are read from that map, the left and right coadjoint
 actions of g on g*, the double g (+) g* built from them with the
 canonical symplectic-style pairing, optional twisting by a scalar
 3-cochain, and the anti-invariance checks for bilinear forms.
@@ -21,7 +22,7 @@ canonical symplectic-style pairing, optional twisting by a scalar
 from fractions import Fraction
 
 from .errors import InputError
-from .exactla import SparseEchelon, rref
+from .exactla import _echelon, rref
 from .words import _add_term, _combine
 
 
@@ -148,43 +149,51 @@ def symmetric_ideal(algebra):
     return rref(rows)
 
 
+def ideal_residue(algebra):
+    """The symmetric ideal I and the residue map modulo it.
+
+    Returns (rows, kept, project): rows and the sorted pivots are
+    symmetric_ideal's RREF, kept lists the non-pivot coordinates
+    (0-based), and project sends a coordinate vector {k(1-based): coeff}
+    to its residue modulo I, the coset representative that vanishes at
+    the pivots, as {k(1-based): Fraction}.  The residues fill the span
+    of the basis vectors at kept, a copy of g/I.
+    """
+    rows, pivots = symmetric_ideal(algebra)
+    pivset = set(pivots)
+    kept = [j for j in range(algebra.dim) if j not in pivset]
+    echelon = _echelon([{k + 1: c for k, c in row.items()} for row in rows])
+    return rows, kept, echelon.residue
+
+
 def liezation(algebra):
-    """Quotient by the symmetric ideal: (lie_algebra, projection).
+    """Quotient by the symmetric ideal: (lie_algebra, projection, kept).
 
     projection is a (quotient dim) x (dim) matrix of Fractions acting on
     coordinate columns; the quotient basis is the image of the basis
-    vectors at the non-pivot coordinates of the ideal's RREF.
+    vectors at the non-pivot coordinates kept of the ideal's RREF.  The
+    projection columns and the quotient bracket are ideal_residue's
+    residues, relabelled through kept.
     """
     require_leibniz(algebra)
-    ideal, pivots = symmetric_ideal(algebra)
-    pivset = set(pivots)
-    kept = [j for j in range(algebra.dim) if j not in pivset]
-    pos = {j: t for t, j in enumerate(kept)}
-    qdim = len(kept)
-
-    ideal_echelon = SparseEchelon()
-    for row in ideal:
-        ideal_echelon.insert(row)
+    _, kept, residue = ideal_residue(algebra)
+    pos = {j + 1: t + 1 for t, j in enumerate(kept)}
 
     def project(vec):
-        # vec: {k(1-based): coeff}; the residue modulo the ideal is the
-        # coset representative that vanishes at the pivots
-        res = ideal_echelon.residue({k - 1: c for k, c in vec.items()})
-        return {pos[j] + 1: c for j, c in res.items()}
+        return {pos[k]: c for k, c in residue(vec).items()}
 
-    # qdim = 0 would force [g,g] = [I,g] = 0, hence I = 0: impossible
-    proj = [[Fraction(0)] * algebra.dim for _ in range(qdim)]
+    # an empty kept would force [g,g] = [I,g] = 0, hence I = 0: impossible
+    proj = [[Fraction(0)] * algebra.dim for _ in kept]
     for col in range(algebra.dim):
-        img = project({col + 1: 1})
-        for r1, c in img.items():
-            proj[r1 - 1][col] = c
+        for t, c in project({col + 1: 1}).items():
+            proj[t - 1][col] = c
     brackets = {}
     for t1, j1 in enumerate(kept):
         for t2, j2 in enumerate(kept):
             img = project(algebra.bracket(j1 + 1, j2 + 1))
             if img:
                 brackets[(t1 + 1, t2 + 1)] = img
-    quotient = LeibnizAlgebra(qdim, brackets,
+    quotient = LeibnizAlgebra(len(kept), brackets,
                               name=(algebra.name or "") + "_lie")
     return quotient, proj, kept
 
@@ -276,12 +285,17 @@ def coad_right(algebra, a, i):
     return out
 
 
+def require_dim(cochain, dim):
+    """Refuse a cochain (scalar or dual-valued) that is not on Q^dim."""
+    if cochain.dim != dim:
+        raise InputError("cochain dimension does not match the algebra")
+
+
 def require_twist(cocycle, dim):
     """Refuse a twist that is not a degree-2 scalar cochain on Q^dim."""
     if cocycle.arity != 3:
         raise InputError("twisting cochains must have degree 2")
-    if cocycle.dim != dim:
-        raise InputError("cochain dimension does not match the algebra")
+    require_dim(cocycle, dim)
 
 
 def double(algebra, cocycle=None):

@@ -8,6 +8,7 @@ exists to exercise error paths.
 """
 
 from .algebras import LeibnizAlgebra, double
+from .errors import InputError
 
 
 def _abelian(n):
@@ -87,7 +88,6 @@ def names():
 def get(name):
     builder = _BUILDERS.get(name)
     if builder is None:
-        from .errors import InputError
         known = ", ".join(ALL_NAMES)
         raise InputError(f"unknown catalog algebra {name!r}; known: {known}")
     return builder()

@@ -18,7 +18,8 @@ import argparse
 import sys
 
 from . import catalog as _catalog
-from .algebras import check_anti_invariance, double, liezation
+from .algebras import (check_anti_invariance, double, liezation,
+                       require_leibniz)
 from .cochains import (anti_cyclic_constraint_rows, cohomology,
                        same_row_space, subcomplex_report,
                        symmetry_identity_rows)
@@ -211,7 +212,6 @@ _SUITE_FUNCS = {
 
 def _cmd_check(args):
     algebra, name = _resolve_algebra(args.algebra)
-    from .algebras import require_leibniz
     require_leibniz(algebra)
     wanted = SUITES[:-1] if args.suite == "all" else (args.suite,)
     checks = {}

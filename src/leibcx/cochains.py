@@ -32,9 +32,10 @@ tests run it.
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebras import coad_left, coad_right, require_leibniz, require_twist
+from .algebras import (coad_left, coad_right, require_dim, require_leibniz,
+                       require_twist)
 from .errors import InputError
-from .exactla import SparseEchelon, nullspace, transpose
+from .exactla import SparseEchelon, _echelon, nullspace, transpose
 from .words import (_add_term, _combine, _extend, embedded_word,
                     tensor_words)
 from .complexes import (boundary_matrix, boundary_word_terms, free_lie_basis,
@@ -166,7 +167,10 @@ def lp_differential(algebra, f):
     (d f)(x_1..x_{n+1}) = [f(x_1..x_n), x_{n+1}]
         + sum_{i=1..n} (-1)^(i+n) [x_i, f(x_1..^i..x_{n+1})]
         - sum_{i<j}    (-1)^(i+n) f(x_1..^i.., [x_i,x_j], ..x_{n+1})
+
+    A cochain of another dimension than the algebra raises InputError.
     """
+    require_dim(f, algebra.dim)
     m = f.dim
     n = f.arity
     out = {}
@@ -196,7 +200,11 @@ def lp_differential(algebra, f):
 
 
 def lp_coboundary(algebra, cochain):
-    """Coboundary of a scalar cochain: precompose with the boundary words."""
+    """Coboundary of a scalar cochain: precompose with the boundary words.
+
+    A cochain of another dimension than the algebra raises InputError.
+    """
+    require_dim(cochain, algebra.dim)
     m = cochain.dim
     a = cochain.arity
     out = {}
@@ -417,12 +425,8 @@ def symmetry_identity_rows(m, arity):
 
 def same_row_space(rows_a, rows_b):
     """Exact mutual containment of two spans of sparse vectors."""
-    ech_a = SparseEchelon()
-    for r in rows_a:
-        ech_a.insert(r)
-    ech_b = SparseEchelon()
-    for r in rows_b:
-        ech_b.insert(r)
+    ech_a = _echelon(rows_a)
+    ech_b = _echelon(rows_b)
     if ech_a.rank != ech_b.rank:
         return False
     return (all(ech_a.contains(r) for r in rows_b)

@@ -12,20 +12,27 @@ HA_n = dim F^(n+1) - rank del_(n+1) - rank del_(n+2), so HA_0 equals the
 dimension of the quotient Lie algebra.
 
 The degree-shifted differential graded Lie algebra DR sits at the end:
-components are the quotient Lie algebra in degree 0 and F^n in degree
--n, the bracket combines the quotient bracket, its action on words, and
-the free graded commutator, and the differential is del plus the
-class-of-a-letter augmentation.  Word parts are kept as their tensor
-embeddings: the free bracket is the super-commutator there, and del is
-applied as del_L, which equals it on embeddings by the intertwining.
+components are g/I in degree 0, the maximal Lie quotient by the
+symmetric ideal I, and F^n in degree -n; the bracket combines the
+quotient bracket, its action on words, and the free graded commutator,
+and the differential is del plus the class-of-a-letter augmentation.
+Degree 0 is held in g coordinates, each class as its residue modulo I
+(the representative that vanishes at the pivots of the ideal's RREF),
+so the quotient needs no coordinates of its own.  Word parts are kept
+as their tensor embeddings: the free bracket is the super-commutator
+there, and del is applied as del_L, which equals it on embeddings by the
+intertwining.  Coefficients are ints or Fractions: the word parts of an
+integral algebra stay int, and residues modulo I are Fractions.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
+from .algebras import ideal_residue, require_leibniz
 from .errors import InputError
-from .exactla import (SparseEchelon, _as_int_vector, nullspace, rank,
-                      transpose)
+from .exactla import (SparseEchelon, _as_int_vector, _echelon, nullspace,
+                      rank, transpose)
 from .words import (LieElement, TensorElement, _add_term, _combine, _extend,
                     embedded_word, super_commutator, tensor_words)
 
@@ -251,7 +258,6 @@ def homology(algebra, max_degree=4, loday=False):
     that is where the homology at F^(n-1) is nonzero (or the prime is
     unlucky).  require_leibniz runs first, so both squares vanish.
     """
-    from .algebras import require_leibniz
     require_leibniz(algebra)
     if max_degree < 2:
         raise InputError("--max-degree must be at least 2")
@@ -274,7 +280,6 @@ def omega0(algebra):
     Only defined for Lie algebras (antisymmetric Leibniz).  Returns
     {"dim": int, "rank": int, "relations": int}.
     """
-    from .algebras import require_leibniz
     require_leibniz(algebra)
     if not algebra.is_antisymmetric():
         raise InputError("omega0 needs an antisymmetric (Lie) bracket")
@@ -315,15 +320,10 @@ def ker2_invariance(algebra, subalgebra):
     in Ker(del_2) and (b) for u, v, w in the subalgebra the element
     ([u,v], w) + (v, [u,w]) lies in Im(del_3).  Returns a report dict.
     """
-    from .algebras import require_leibniz
     require_leibniz(algebra)
     slice2 = free_lie_basis(algebra.dim, 2)
-    kernel = SparseEchelon()
-    for vec in kernel2_basis(algebra):
-        kernel.insert(vec)
-    image = SparseEchelon()
-    for col in boundary_matrix(algebra, 3):
-        image.insert(col)
+    kernel = _echelon(kernel2_basis(algebra))
+    image = _echelon(boundary_matrix(algebra, 3))
     kernel_failures = []
     for u in subalgebra:
         for v in subalgebra:
@@ -355,30 +355,22 @@ def ker2_invariance(algebra, subalgebra):
 class DRElement:
     """Element of the graded algebra: degree-0 part + word parts by degree.
 
-    gl holds quotient coordinates {i: Fraction}; parts maps a word degree
-    n to the tensor embedding {tensor word: Fraction} of an element of
-    F^n.  The embedding is injective on F^n, so equal embeddings are
-    equal elements.
+    gl is the degree-0 part, an element of g/I (I the symmetric ideal)
+    held in g coordinates {i: coeff} as its residue modulo I, the
+    representative that vanishes at the pivots of the ideal's RREF.
+    parts maps a word degree n to the tensor embedding {tensor word:
+    coeff} of an element of F^n.  The embedding is injective on F^n, so
+    equal embeddings are equal elements.  Coefficients are ints or
+    Fractions and never zero.  The dicts given are kept as they are, and
+    only empty parts are dropped; they are shared, with the embedding
+    cache among others, so nothing mutates them afterwards.
     """
 
     __slots__ = ("gl", "parts")
 
     def __init__(self, gl=None, parts=None):
-        self.gl = {i: Fraction(c) for i, c in (gl or {}).items() if c}
-        self.parts = {}
-        for n, terms in (parts or {}).items():
-            clean = {w: Fraction(c) for w, c in terms.items() if c}
-            if clean:
-                self.parts[n] = clean
-
-    @classmethod
-    def _raw(cls, gl, parts):
-        # gl and parts must be fresh dicts of nonzero Fractions; only the
-        # empty parts are dropped
-        el = cls.__new__(cls)
-        el.gl = gl
-        el.parts = {n: terms for n, terms in parts.items() if terms}
-        return el
+        self.gl = gl or {}
+        self.parts = {n: terms for n, terms in (parts or {}).items() if terms}
 
     def is_zero(self):
         return not self.gl and not self.parts
@@ -403,7 +395,8 @@ class DRElement:
         return self + (-1) * other
 
     def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
+        if not scalar:
+            return DRElement()
         return DRElement({i: scalar * c for i, c in self.gl.items()},
                          {n: {w: scalar * c for w, c in terms.items()}
                           for n, terms in self.parts.items()})
@@ -420,29 +413,33 @@ class DRElement:
 class DGLA:
     """Degree-shifted dg Lie algebra built from a Leibniz algebra.
 
-    Components: the quotient Lie algebra in degree 0 and F^n in degree
-    -n for 1 <= n <= max_degree (higher word degrees are truncated to
-    zero, which does not disturb any identity below the cutoff).  Word
-    parts are kept as tensor embeddings, so no operation solves for
-    basis coordinates: the free bracket is the super-commutator, the
-    action substitutes letters in tensor words, and the differential is
-    del_L, which the embedding intertwines with del.
+    Components: g/I in degree 0, the maximal Lie quotient by the
+    symmetric ideal I, and F^n in degree -n for 1 <= n <= max_degree
+    (higher word degrees are truncated to zero, which does not disturb
+    any identity below the cutoff).  Degree 0 stays in g coordinates:
+    project is the residue map modulo I, so the quotient bracket is the
+    residue of the bracket of g and its basis is the basis vectors at
+    the non-pivot coordinates kept of the ideal's RREF.  Word parts are
+    kept as tensor embeddings, so no operation solves for basis
+    coordinates: the free bracket is the super-commutator, the action
+    substitutes letters in tensor words, and the differential is del_L,
+    which the embedding intertwines with del.  Coefficients are ints or
+    Fractions: an integral algebra's word parts stay int, and residues
+    modulo I are Fractions.
     """
 
     def __init__(self, algebra, max_degree=4):
-        from .algebras import liezation, require_leibniz, symmetric_ideal
         require_leibniz(algebra)
         if max_degree < 2:
             raise InputError("--max-degree must be at least 2")
         self.algebra = algebra
         self.N = max_degree
-        self.quotient, self.projection, self.kept = liezation(algebra)
-        self.ideal_rows = symmetric_ideal(algebra)[0]
+        self.ideal_rows, self.kept, self.project = ideal_residue(algebra)
         m = algebra.dim
         self.slices = {n: free_lie_basis(m, n) for n in range(1, max_degree + 1)}
 
     def component_dims(self):
-        dims = {0: len(self.projection)}
+        dims = {0: len(self.kept)}
         for n, sl in self.slices.items():
             dims[-n] = sl.dim
         return dims
@@ -455,26 +452,10 @@ class DGLA:
 
     def basis(self):
         """(parity, element) for every component basis vector."""
-        out = []
-        for t in range(len(self.projection)):
-            out.append((0, DRElement(gl={t + 1: 1})))
+        out = [(0, DRElement(gl={j + 1: 1})) for j in self.kept]
         for n in range(1, self.N + 1):
             for w in self.slices[n].words:
                 out.append((n, self.word_element(w)))
-        return out
-
-    def lift(self, gl_vec):
-        """A representative in g of a degree-0 coordinate vector."""
-        return {self.kept[t - 1] + 1: c for t, c in gl_vec.items() if c}
-
-    def project(self, g_vec):
-        """Class of a g coordinate vector in the quotient."""
-        out = {}
-        for col, c in g_vec.items():
-            for r, row in enumerate(self.projection):
-                v = row[col - 1]
-                if v:
-                    _add_term(out, r + 1, c * v)
         return out
 
     def act(self, g_vec, terms):
@@ -495,7 +476,8 @@ class DGLA:
         return out
 
     def bracket(self, a, b):
-        out_gl = self.quotient.bracket_vectors(a.gl, b.gl)
+        gl = (self.project(self.algebra.bracket_vectors(a.gl, b.gl))
+              if a.gl and b.gl else {})
         parts = {}
 
         def add(n, terms):
@@ -507,19 +489,18 @@ class DGLA:
                 parts[n] = terms
 
         if a.gl:
-            la = self.lift(a.gl)
             for n, terms in b.parts.items():
-                add(n, self.act(la, terms))
+                add(n, self.act(a.gl, terms))
         if b.gl:
-            lb = {i: -c for i, c in self.lift(b.gl).items()}
+            minus_b = {i: -c for i, c in b.gl.items()}
             for n, terms in a.parts.items():
-                add(n, self.act(lb, terms))
+                add(n, self.act(minus_b, terms))
         for p, ta in a.parts.items():
             for q, tb in b.parts.items():
                 if p + q <= self.N:
                     add(p + q, super_commutator(TensorElement._raw(ta),
                                                 TensorElement._raw(tb)).terms)
-        return DRElement._raw(out_gl, parts)
+        return DRElement(gl, parts)
 
     def differential(self, a):
         one = a.parts.get(1)
@@ -527,7 +508,13 @@ class DGLA:
         parts = {n - 1: loday_apply(self.algebra,
                                     TensorElement._raw(terms)).terms
                  for n, terms in a.parts.items() if n >= 2}
-        return DRElement._raw(gl, parts)
+        return DRElement(gl, parts)
+
+
+def _outcome(failures):
+    """A check's entry: passed, and the first five failure witnesses."""
+    first = list(islice(failures, 5))
+    return {"passed": not first, "failures": first}
 
 
 def dgla_suite(dg):
@@ -538,113 +525,83 @@ def dgla_suite(dg):
     to zero, the differential being a degree-1 derivation, recovery of
     the original bracket as the derived bracket, the two lifted bracket
     identities in degree -2, trivial action of the symmetric ideal, and
-    the augmented composite vanishing on degree-2 boundaries.
+    the augmented composite vanishing on degree-2 boundaries.  Each
+    check is a generator of failure witnesses.
     """
     algebra = dg.algebra
     N = dg.N
-    basis = dg.basis()
-    checks = {}
-
-    fails = []
-    for pa, a in basis:
-        for pb, b in basis:
-            if pa + pb > N:
-                continue
-            lhs = dg.bracket(a, b)
-            rhs = (-((-1) ** (pa * pb))) * dg.bracket(b, a)
-            if lhs != rhs:
-                fails.append((repr(a), repr(b)))
-    checks["antisymmetry"] = {"passed": not fails, "failures": fails[:5]}
-
-    fails = []
-    for pa, a in basis:
-        for pb, b in basis:
-            if pa + pb > N:
-                continue
-            for pc, c in basis:
-                if pa + pb + pc > N:
-                    continue
-                lhs = dg.bracket(a, dg.bracket(b, c))
-                rhs = dg.bracket(dg.bracket(a, b), c) + \
-                    ((-1) ** (pa * pb)) * dg.bracket(b, dg.bracket(a, c))
-                if lhs != rhs:
-                    fails.append((repr(a), repr(b), repr(c)))
-    checks["jacobi"] = {"passed": not fails, "failures": fails[:5]}
-
-    fails = []
-    for _, a in basis:
-        if not dg.differential(dg.differential(a)).is_zero():
-            fails.append(repr(a))
-    checks["differential_squared"] = {"passed": not fails,
-                                      "failures": fails[:5]}
-
-    fails = []
-    for pa, a in basis:
-        for pb, b in basis:
-            if pa + pb > N:
-                continue
-            lhs = dg.differential(dg.bracket(a, b))
-            sign = (-1) ** pa
-            rhs = dg.bracket(dg.differential(a), b) + \
-                sign * dg.bracket(a, dg.differential(b))
-            if lhs != rhs:
-                fails.append((repr(a), repr(b)))
-    checks["derivation"] = {"passed": not fails, "failures": fails[:5]}
-
     m = algebra.dim
+    br, d = dg.bracket, dg.differential
+    basis = dg.basis()
+    pairs = [(pa, a, pb, b) for pa, a in basis for pb, b in basis
+             if pa + pb <= N]
+    triples = [(i, j, k) for i in range(1, m + 1) for j in range(1, m + 1)
+               for k in range(1, m + 1)]
+    x = {i: dg.word_element((i,)) for i in range(1, m + 1)}
 
     def letters(vec):
         # degree -1 element of a g coordinate vector {k: c}
         return DRElement(parts={1: {(k,): c for k, c in vec.items()}})
 
-    fails = []
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            xi = dg.word_element((i,))
-            xj = dg.word_element((j,))
-            derived = dg.bracket(dg.differential(xi), xj)
-            if derived != letters(algebra.bracket(i, j)):
-                fails.append((i, j))
-    checks["derived_bracket"] = {"passed": not fails, "failures": fails[:5]}
+    def antisymmetry():
+        for pa, a, pb, b in pairs:
+            if br(a, b) != (-((-1) ** (pa * pb))) * br(b, a):
+                yield repr(a), repr(b)
 
-    fails1, fails2 = [], []
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            for k in range(1, m + 1):
-                xi, xj, xk = (dg.word_element((t,)) for t in (i, j, k))
-                pair = dg.bracket(xj, xk)
-                lhs = dg.bracket(dg.differential(xi), pair)
-                rhs = dg.bracket(letters(algebra.bracket(i, j)), xk) + \
-                    dg.bracket(xj, letters(algebra.bracket(i, k)))
+    def jacobi():
+        for pa, a, pb, b in pairs:
+            for pc, c in basis:
+                if pa + pb + pc > N:
+                    continue
+                lhs = br(a, br(b, c))
+                rhs = br(br(a, b), c) + ((-1) ** (pa * pb)) * br(b, br(a, c))
                 if lhs != rhs:
-                    fails1.append((i, j, k))
-                pair_ij = dg.bracket(xi, xj)
-                lhs2 = dg.bracket(dg.differential(pair_ij), xk)
-                rhs2 = dg.bracket(letters(algebra.symmetrized(i, j)), xk)
-                if lhs2 != rhs2:
-                    fails2.append((i, j, k))
-    checks["lifted_identity_left"] = {"passed": not fails1,
-                                      "failures": fails1[:5]}
-    checks["lifted_identity_sym"] = {"passed": not fails2,
-                                     "failures": fails2[:5]}
+                    yield repr(a), repr(b), repr(c)
 
-    fails = []
-    for row in dg.ideal_rows:
-        vec = {i + 1: c for i, c in row.items()}
-        for n in range(1, N + 1):
-            for p, w in enumerate(dg.slices[n].words):
-                if dg.act(vec, embedded_word(w)):
-                    fails.append((vec, n, p))
-    checks["ideal_acts_trivially"] = {"passed": not fails,
-                                      "failures": fails[:5]}
+    def differential_squared():
+        for _, a in basis:
+            if not d(d(a)).is_zero():
+                yield repr(a)
 
-    fails = []
-    sl2 = dg.slices.get(2)
-    if sl2 is not None:
-        for w in sl2.words:
-            el = dg.word_element(w)
-            if dg.differential(dg.differential(el)).gl:
-                fails.append(w)
-    checks["augmentation_kills_boundaries"] = {"passed": not fails,
-                                               "failures": fails[:5]}
-    return checks
+    def derivation():
+        for pa, a, pb, b in pairs:
+            if d(br(a, b)) != br(d(a), b) + ((-1) ** pa) * br(a, d(b)):
+                yield repr(a), repr(b)
+
+    def derived_bracket():
+        for i in range(1, m + 1):
+            for j in range(1, m + 1):
+                if br(d(x[i]), x[j]) != letters(algebra.bracket(i, j)):
+                    yield i, j
+
+    def lifted_identity_left():
+        for i, j, k in triples:
+            lhs = br(d(x[i]), br(x[j], x[k]))
+            rhs = br(letters(algebra.bracket(i, j)), x[k]) + \
+                br(x[j], letters(algebra.bracket(i, k)))
+            if lhs != rhs:
+                yield i, j, k
+
+    def lifted_identity_sym():
+        for i, j, k in triples:
+            lhs = br(d(br(x[i], x[j])), x[k])
+            if lhs != br(letters(algebra.symmetrized(i, j)), x[k]):
+                yield i, j, k
+
+    def ideal_acts_trivially():
+        for row in dg.ideal_rows:
+            vec = {i + 1: c for i, c in row.items()}
+            for n in range(1, N + 1):
+                for p, w in enumerate(dg.slices[n].words):
+                    if dg.act(vec, embedded_word(w)):
+                        yield vec, n, p
+
+    def augmentation_kills_boundaries():
+        for w in dg.slices[2].words:
+            if d(d(dg.word_element(w))).gl:
+                yield w
+
+    checks = (antisymmetry, jacobi, differential_squared, derivation,
+              derived_bracket, lifted_identity_left, lifted_identity_sym,
+              ideal_acts_trivially, augmentation_kills_boundaries)
+    return {check.__name__: _outcome(check()) for check in checks}

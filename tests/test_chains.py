@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from leibcx import catalog, exactla
+from leibcx.algebras import LeibnizAlgebra, liezation, symmetric_ideal
 from leibcx.complexes import (DGLA, boundary_apply, boundary_matrix,
                               boundary_square_report, boundary_word_terms,
                               dgla_suite, free_lie_basis, homology,
@@ -307,3 +308,81 @@ def test_dgla_free_bracket_stays_in_word_span():
 def test_dgla_suite_small():
     checks = dgla_suite(DGLA(catalog.get("L2"), max_degree=3))
     assert all(v["passed"] for v in checks.values()), checks
+
+
+def _halved(algebra):
+    # every structure constant halved: still Leibniz, now Fraction-valued
+    return LeibnizAlgebra(
+        algebra.dim,
+        {ij: {k: Fraction(c) / 2 for k, c in entry.items()}
+         for ij, entry in algebra.items()},
+        name=f"{algebra.name}_half")
+
+
+def _rref_residue(algebra, vec):
+    # the old quotient path: v minus v[p] times the RREF row of p, for
+    # every pivot p, vanishes at the pivots (each row is 1 at its own
+    # pivot and 0 at the others), as {k(1-based): Fraction}
+    rows, pivots = symmetric_ideal(algebra)
+    out = {k - 1: Fraction(c) for k, c in vec.items()}
+    for row, p in zip(rows, pivots):
+        c = out.get(p, 0)
+        for i, v in row.items():
+            out[i] = out.get(i, 0) - c * v
+    return {i + 1: c for i, c in out.items() if c}
+
+
+def test_dgla_residues_match_the_quotient_algebra():
+    # degree 0 is g/I held as residues in g coordinates; relabelled
+    # through kept they are liezation's quotient coordinates
+    for name in catalog.VALID_NAMES:
+        for A in (catalog.get(name), _halved(catalog.get(name))):
+            quotient, projection, kept = liezation(A)
+            dg = DGLA(A, max_degree=2)
+            assert dg.kept == kept
+            pos = {j + 1: t + 1 for t, j in enumerate(kept)}
+
+            def relabel(vec):
+                assert set(vec) <= set(pos), (A.name, vec)
+                return {pos[k]: c for k, c in vec.items()}
+
+            for col in range(1, A.dim + 1):
+                res = dg.project({col: 1})
+                assert res == _rref_residue(A, {col: 1}), (A.name, col)
+                want = {t + 1: row[col - 1]
+                        for t, row in enumerate(projection) if row[col - 1]}
+                assert relabel(res) == want, (A.name, col)
+            for i in range(1, A.dim + 1):
+                for j in range(1, A.dim + 1):
+                    vec = A.bracket(i, j)
+                    assert dg.project(vec) == _rref_residue(A, vec)
+            degree0 = [a for p, a in dg.basis() if p == 0]
+            assert len(degree0) == quotient.dim == dg.component_dims()[0]
+            for t1, a in enumerate(degree0, 1):
+                for t2, b in enumerate(degree0, 1):
+                    got = relabel(dg.bracket(a, b).gl)
+                    assert got == quotient.bracket(t1, t2), (A.name, t1, t2)
+
+
+def test_dgla_integral_algebras_keep_int_word_parts():
+    # the word parts of brackets and differentials of basis elements of
+    # an integral algebra never leave int arithmetic
+    for name in catalog.VALID_NAMES:
+        dg = DGLA(catalog.get(name), max_degree=3)
+        basis = dg.basis()
+        elements = [dg.differential(a) for _, a in basis]
+        elements += [dg.bracket(a, b) for pa, a in basis
+                     for pb, b in basis if pa + pb <= 3]
+        for el in elements:
+            for terms in el.parts.values():
+                assert all(type(c) is int for c in terms.values()), (name, el)
+
+
+def test_dgla_suite_passes_on_rational_constants():
+    for name in ("sl2", "doubleL2"):
+        A = _halved(catalog.get(name))
+        assert any(type(c) is Fraction
+                   for _, entry in A.items() for c in entry.values())
+        checks = dgla_suite(DGLA(A, max_degree=4))
+        assert len(checks) == 9
+        assert all(v["passed"] for v in checks.values()), (name, checks)

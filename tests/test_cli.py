@@ -61,19 +61,26 @@ def test_output_deterministic(capsys):
 
 
 def test_dr_builds_one_graded_algebra(capsys, monkeypatch):
-    from leibcx import algebras
-    calls = []
-    liezation = algebras.liezation
+    from leibcx import algebras, complexes
+    graded, ideals = [], []
+    init = complexes.DGLA.__init__
+    symmetric_ideal = algebras.symmetric_ideal
 
-    def counted(algebra):
-        calls.append(algebra)
-        return liezation(algebra)
+    def counted_init(self, algebra, max_degree=4):
+        graded.append(algebra)
+        init(self, algebra, max_degree)
 
-    monkeypatch.setattr(algebras, "liezation", counted)
+    def counted_ideal(algebra):
+        ideals.append(algebra)
+        return symmetric_ideal(algebra)
+
+    monkeypatch.setattr(complexes.DGLA, "__init__", counted_init)
+    monkeypatch.setattr(algebras, "symmetric_ideal", counted_ideal)
     code, _, _ = run(capsys, "dr", "catalog:L2", "--max-degree", "3",
                      "--format", "json")
     assert code == 0
-    assert len(calls) == 1
+    assert len(graded) == 1
+    assert len(ideals) == 1
 
 
 def test_double_roundtrip(tmp_path, capsys):

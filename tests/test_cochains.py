@@ -223,3 +223,18 @@ def test_from_implicit_refuses_a_wrong_length():
         with pytest.raises(InputError):
             from_implicit(vec, 2, 2)
     assert is_anti_cyclic(from_implicit([1, 0], 2, 2))
+
+
+def test_differentials_refuse_a_cochain_of_another_dimension():
+    # a truncated or padded cochain would give the coboundary of another
+    # algebra, not an error
+    with pytest.raises(InputError, match="dimension"):
+        lp_coboundary(catalog.get("sl2"), Cochain(2, 2, {(1, 2): 1}))
+    with pytest.raises(InputError, match="dimension"):
+        lp_coboundary(catalog.get("L2"), Cochain(2, 3, {(3, 3): 1}))
+    with pytest.raises(InputError, match="dimension"):
+        lp_differential(catalog.get("L2"),
+                        DualValuedCochain(1, 3, {((3,), 1): 1}))
+    with pytest.raises(InputError, match="dimension"):
+        lp_differential(catalog.get("sl2"),
+                        DualValuedCochain(0, 2, {((), 1): 1}))
