@@ -1,7 +1,9 @@
 """Golden gate: canonical CLI output, byte for byte, on every catalog entry.
 
-Each case runs ``leibcx.cli.main`` in process with ``--format json`` and
-compares stdout and the exit code with the files under tests/golden/.
+Each case runs ``leibcx.cli.main`` in process and compares stdout and the
+exit code with the files under tests/golden/.  Every command runs with
+``--format json`` on every entry; on sl2 and B1 it also runs with
+``--format text``, so the text printer has a byte check too.
 Refactors of the internals must leave every case unchanged.
 
 Record the files again (only when an output change is intended) with
@@ -44,16 +46,21 @@ def _slug(cmd):
     return "_".join(part.lstrip("-") for part in cmd)
 
 
-# (test id, golden file key, argv without --format)
+TEXT_NAMES = ("sl2", "B1")
+
+
+# (test id, golden file key, argv)
 CASES = [(f"{name}-{_slug(cmd)}", f"{name}/{_slug(cmd)}",
-          [cmd[0], f"catalog:{name}", *cmd[1:]])
+          [cmd[0], f"catalog:{name}", *cmd[1:], "--format", "json"])
          for name in NAMES for cmd in COMMANDS]
-CASES.append(("catalog", "catalog", ["catalog"]))
+CASES.append(("catalog", "catalog", ["catalog", "--format", "json"]))
+CASES += [(f"{name}-{_slug(cmd)}-text", f"{name}/text/{_slug(cmd)}",
+           [cmd[0], f"catalog:{name}", *cmd[1:], "--format", "text"])
+          for name in TEXT_NAMES for cmd in COMMANDS]
 
 
 def _run(argv):
     from leibcx.cli import main
-    argv = [*argv, "--format", "json"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
@@ -83,9 +90,10 @@ def test_dense_change_of_basis_matches_catalog():
     # degree 7 adds the dense 124 x 312 boundary
     path = os.path.join(HERE, "data", "sl2_conj0.json")
     for degree in ("6", "7"):
-        conj = _run(["homology", path, "--max-degree", degree])
+        conj = _run(["homology", path, "--max-degree", degree,
+                     "--format", "json"])
         assert conj == _run(["homology", "catalog:sl2", "--max-degree",
-                             degree]), degree
+                             degree, "--format", "json"]), degree
         assert conj[1] == 0
 
 
