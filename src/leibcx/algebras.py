@@ -145,7 +145,7 @@ def symmetric_ideal(algebra):
         for j in range(i, algebra.dim + 1):
             v = algebra.symmetrized(i, j)
             if v:
-                rows.append({k - 1: Fraction(c) for k, c in v.items()})
+                rows.append({k - 1: c for k, c in v.items()})
     return rref(rows)
 
 
@@ -156,8 +156,8 @@ def ideal_residue(algebra):
     symmetric_ideal's RREF, kept lists the non-pivot coordinates
     (0-based), and project sends a coordinate vector {k(1-based): coeff}
     to its residue modulo I, the coset representative that vanishes at
-    the pivots, as {k(1-based): Fraction}.  The residues fill the span
-    of the basis vectors at kept, a copy of g/I.
+    the pivots, as {k(1-based): int or Fraction}.  The residues fill the
+    span of the basis vectors at kept, a copy of g/I.
     """
     rows, pivots = symmetric_ideal(algebra)
     pivset = set(pivots)
@@ -169,7 +169,7 @@ def ideal_residue(algebra):
 def liezation(algebra):
     """Quotient by the symmetric ideal: (lie_algebra, projection, kept).
 
-    projection is a (quotient dim) x (dim) matrix of Fractions acting on
+    projection is a (quotient dim) x (dim) matrix of ints or Fractions on
     coordinate columns; the quotient basis is the image of the basis
     vectors at the non-pivot coordinates kept of the ideal's RREF.  The
     projection columns and the quotient bracket are ideal_residue's
@@ -183,7 +183,7 @@ def liezation(algebra):
         return {pos[k]: c for k, c in residue(vec).items()}
 
     # an empty kept would force [g,g] = [I,g] = 0, hence I = 0: impossible
-    proj = [[Fraction(0)] * algebra.dim for _ in kept]
+    proj = [[0] * algebra.dim for _ in kept]
     for col in range(algebra.dim):
         for t, c in project({col + 1: 1}).items():
             proj[t - 1][col] = c

@@ -23,10 +23,12 @@ the unit vectors.  The theorem used here: the coboundary preserves the
 anti-cyclic cochains, and in those implicit coordinates it is the
 transpose of the chain boundary two degrees up.  So the cochain side is
 not computed again: cohomology relabels the homology table, the
-coboundary matrix is a transposed boundary matrix, and extension classes
-are read off by exact elimination.  subcomplex_report certifies the
-theorem from the per-word coboundary; check --suite subcomplex and the
-tests run it.
+coboundary matrix is a transposed boundary matrix, and an extension
+class is closed when its implicit vector pairs to zero with the columns
+of del_4, whose nullspace holds the cocycles it is reduced against.
+subcomplex_report certifies the theorem from the per-word coboundary;
+check --suite subcomplex and the tests run it.  lp_coboundary, the
+coboundary word by word, is the tests' reference.
 """
 
 from fractions import Fraction
@@ -203,6 +205,9 @@ def lp_coboundary(algebra, cochain):
     """Coboundary of a scalar cochain: precompose with the boundary words.
 
     A cochain of another dimension than the algebra raises InputError.
+    No computation calls it: on anti-cyclic cochains the transpose
+    theorem gives the coboundary, and this word-by-word sweep is the
+    tests' reference.
     """
     require_dim(cochain, algebra.dim)
     m = cochain.dim
@@ -253,9 +258,12 @@ def anti_cyclic_basis(m, degree):
             for k in range(count)]
 
 
-def to_implicit(cochain, check=True):
-    """Vector of an anti-cyclic cochain over the matching basis words."""
-    if check and not is_anti_cyclic(cochain):
+def to_implicit(cochain):
+    """Vector of an anti-cyclic cochain over the matching basis words.
+
+    A cochain that is not anti-cyclic raises InputError.
+    """
+    if not is_anti_cyclic(cochain):
         raise InputError("cochain is not anti-cyclic")
     sl = free_lie_basis(cochain.dim, cochain.arity)
     return [cochain.coefficient(b) for b in sl.words]
@@ -339,30 +347,39 @@ def cohomology(algebra, max_degree=4):
 def classify_extension(algebra, hcochain):
     """Decide whether an arity-3 scalar cochain defines a twist class.
 
-    Checks anti-cyclicity and closedness; when both hold, reduces the
-    implicit vector against the coboundary space and reports triviality
-    plus coordinates over an exact basis of the degree-2 cohomology.
+    Only an anti-cyclic cochain is classified; for any other, closed,
+    trivial, class and h2_dim are None.  By the transpose theorem the
+    coboundary of an anti-cyclic h is anti-cyclic with implicit vector
+    transpose(del_4) applied to h's, so h is closed exactly when its
+    implicit vector pairs to zero with every column of del_4; the
+    cocycles are the nullspace of the same columns.  A closed h is
+    reduced against the coboundary space, which gives triviality and
+    coordinates over an exact basis of the degree-2 cohomology.
     """
     require_twist(hcochain, algebra.dim)
     require_leibniz(algebra)
-    anti = is_anti_cyclic(hcochain)
-    closed = lp_coboundary(algebra, hcochain).is_zero()
-    out = {"anti_cyclic": anti, "closed": closed,
-           "trivial": None, "class": None, "h2_dim": None}
-    if not (anti and closed):
+    out = {"anti_cyclic": True, "closed": None, "trivial": None,
+           "class": None, "h2_dim": None}
+    try:
+        vec = to_implicit(hcochain)
+    except InputError:
+        out["anti_cyclic"] = False
         return out
-    v = to_implicit(hcochain, check=False)
+    v = {i: c for i, c in enumerate(vec) if c}
+    del4 = boundary_matrix(algebra, 4)
+    out["closed"] = not any(sum(c * v.get(i, 0) for i, c in col.items())
+                            for col in del4)
+    if not out["closed"]:
+        return out
     ech = SparseEchelon(track=True)
     for col in coboundary_matrix_on_anti_cyclic(algebra, 1):
         ech.insert(col)
     extension = []
-    # the degree-2 cocycles: the rows of its coboundary are the columns
-    # of del_4
-    for z in nullspace(boundary_matrix(algebra, 4), len(v)):
+    for z in nullspace(del4, len(vec)):
         src = ech.nsources
         if ech.insert(z):
             extension.append(src)
-    coords = ech.coordinates({i: c for i, c in enumerate(v) if c})
+    coords = ech.coordinates(v)
     if coords is None:
         # closed cochain must lie in the cocycle space
         raise RuntimeError("closed cochain escaped the cocycle space")

@@ -15,8 +15,9 @@ combines these over a common denominator and creates Fractions only for
 the coordinates it returns.
 
 A matrix is a list of such vectors: the columns for boundary maps, the
-rows where rref and nullspace say so.  rref and nullspace are thin
-canonical read-outs of a SparseEchelon; they return sparse rows too.
+rows where rref and nullspace say so.  rref and nullspace are read-outs
+of a SparseEchelon with no elimination of their own: the RREF row at a
+pivot p is e_p minus the residue of e_p.  They return sparse rows too.
 
 Beside the engine sits a rank modulo a word-sized prime, a lower bound
 on the rank over Q.  rank() uses it only for callers that hold a proven
@@ -172,8 +173,13 @@ class SparseEchelon:
         return True
 
     def residue(self, vec):
-        """Reduced form of vec against the stored rows, as Fractions."""
+        """Reduced form of vec against the stored rows: zero at each pivot.
+
+        Entries are ints when the reduction did not scale, else Fractions.
+        """
         res, scale, _ = self._reduce(vec)
+        if scale == 1:
+            return res
         return {i: Fraction(c, scale) for i, c in res.items()}
 
     def contains(self, vec):
@@ -262,28 +268,16 @@ def rref(rows):
     """Reduced row echelon form of a list of sparse rows.
 
     Returns (reduced_rows, pivot_cols): the nonzero rows of the RREF as
-    {col: Fraction} dicts, each with entry 1 at its pivot, in increasing
-    pivot order, and the sorted pivot column indices.  The RREF is
-    unique, so it does not depend on the order of the input rows.
+    {col: int or Fraction} dicts, each with entry 1 at its pivot, in
+    increasing pivot order, and the sorted pivot column indices.  The
+    row at pivot p is the one vector of the span with 1 at p and 0 at
+    every other pivot, so it is e_p minus the residue of e_p; it does
+    not depend on the order of the input rows.
     """
     ech = _echelon(rows)
     pivots = sorted(ech.pivots)
-    reduced = {}
-    # a row only has entries at or right of its pivot, so clearing the
-    # later pivots from right to left leaves every row fully reduced
-    for p in reversed(pivots):
-        row = ech.rows[ech.pivots[p]]
-        red = {i: Fraction(c, row[p]) for i, c in row.items()}
-        for q in [i for i in red if i in reduced]:
-            c = red[q]
-            for i, v in reduced[q].items():
-                nv = red.get(i, 0) - c * v
-                if nv:
-                    red[i] = nv
-                else:
-                    red.pop(i, None)
-        reduced[p] = red
-    return [reduced[p] for p in pivots], pivots
+    return [{p: 1, **{i: -c for i, c in ech.residue({p: 1}).items()}}
+            for p in pivots], pivots
 
 
 def nullspace(rows, ncols):

@@ -252,6 +252,27 @@ def test_kernel2_and_invariance():
             assert ker2_invariance(A, sub)["passed"], (name, sub)
 
 
+def test_ker2_invariance_matches_the_kernel_basis():
+    # reference: membership in the span of kernel2_basis, and its size
+    for name in catalog.VALID_NAMES:
+        A = catalog.get(name)
+        kernel = SparseEchelon()
+        basis = kernel2_basis(A)
+        for vec in basis:
+            kernel.insert(vec)
+        slice2 = free_lie_basis(A.dim, 2)
+        subs = list(catalog.lie_subalgebras(name))
+        subs += [tuple(range(1, A.dim + 1)), (1,), (A.dim,)]
+        for sub in subs:
+            rep = ker2_invariance(A, sub)
+            want = [(u, v) for u in sub for v in sub
+                    if not kernel.contains(slice2.coords({(u, v): 1}))]
+            assert rep["kernel_failures"] == want, (name, sub)
+            assert rep["kernel_dim"] == len(basis), (name, sub)
+    rep = ker2_invariance(catalog.get("L2"), (1,))
+    assert rep["kernel_failures"] == [(1, 1)] and not rep["passed"]
+
+
 def test_dgla_component_dims():
     dg = DGLA(catalog.get("L2"), max_degree=4)
     assert dg.component_dims() == {0: 1, -1: 2, -2: 3, -3: 2, -4: 3}
@@ -373,6 +394,10 @@ def test_dgla_integral_algebras_keep_int_word_parts():
         elements = [dg.differential(a) for _, a in basis]
         elements += [dg.bracket(a, b) for pa, a in basis
                      for pb, b in basis if pa + pb <= 3]
+        # degree 0 elements that are residues modulo I, acting on words
+        letters = [a for pa, a in basis if pa == 1]
+        elements += [dg.bracket(dg.differential(a), b) for a in letters
+                     for _, b in basis]
         for el in elements:
             for terms in el.parts.values():
                 assert all(type(c) is int for c in terms.values()), (name, el)

@@ -1,6 +1,7 @@
 """Cochains: differentials, lowering, the anti-cyclic space, classes."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from leibcx.cochains import (Cochain, DualValuedCochain, anti_cyclic_basis,
 from leibcx.complexes import (boundary_matrix, free_lie_basis, homology,
                               intertwining_report)
 from leibcx.errors import InputError
-from leibcx.exactla import transpose
+from leibcx.exactla import nullspace, transpose
 
 
 def test_lp_differential_frozen():
@@ -193,6 +194,60 @@ def test_classify_non_cocycle_reported():
     rep = classify_extension(L2, from_implicit([0, 1], 2, 2))
     assert rep["anti_cyclic"] and not rep["closed"]
     assert rep["trivial"] is None and rep["class"] is None
+
+
+def _seeded_twists(A, rng, count):
+    # anti-cyclic arity-3 cochains: random implicit vectors, and random
+    # combinations of the cocycles, which are closed
+    n = free_lie_basis(A.dim, 3).dim
+    cocycles = nullspace(boundary_matrix(A, 4), n)
+    out = []
+    for k in range(count):
+        if k % 2 and cocycles:
+            vec = [0] * n
+            for z in cocycles:
+                c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                for i, x in z.items():
+                    vec[i] += c * x
+        else:
+            vec = [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                   for _ in range(n)]
+        out.append(from_implicit(vec, A.dim, 2))
+    return out
+
+
+def test_classify_closed_matches_the_coboundary():
+    rng = random.Random(2013)
+    for name in catalog.VALID_NAMES:
+        A = catalog.get(name)
+        for h in _seeded_twists(A, rng, 6):
+            rep = classify_extension(A, h)
+            assert rep["anti_cyclic"], name
+            assert rep["closed"] == lp_coboundary(A, h).is_zero(), name
+            assert (rep["class"] is None) == (not rep["closed"]), name
+    # a cochain that is not anti-cyclic is not classified
+    rep = classify_extension(catalog.get("L2"), Cochain(3, 2, {(1, 2, 2): 1}))
+    assert rep == {"anti_cyclic": False, "closed": None, "trivial": None,
+                   "class": None, "h2_dim": None}
+
+
+def test_classes_are_invariant_under_coboundaries():
+    # bA is trivial for every degree-1 basis cochain A, and adding it to a
+    # closed h leaves the class of h unchanged
+    rng = random.Random(1997)
+    for name in ("abelian2", "L2", "N3", "sl2", "heis3", "doubleL2"):
+        A = catalog.get(name)
+        closed = [h for h in _seeded_twists(A, rng, 6)
+                  if lp_coboundary(A, h).is_zero()]
+        assert closed, name
+        for a in anti_cyclic_basis(A.dim, 1):
+            ba = lp_coboundary(A, a)
+            rep = classify_extension(A, ba)
+            assert rep["closed"] and rep["trivial"], name
+            assert rep["class"] == [0] * rep["h2_dim"], name
+            for h in closed:
+                assert classify_extension(A, h + ba)["class"] == \
+                    classify_extension(A, h)["class"], name
 
 
 def test_constraint_spaces_match_identities():

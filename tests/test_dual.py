@@ -50,6 +50,15 @@ def test_contract_type_error():
         contract({1: Fraction(1)}, {(1, 2): 1})
 
 
+def test_zero_multiple_of_a_dual_bracket_sum_is_zero():
+    # a zero scalar leaves no term behind, so the sum is falsy and prints 0
+    s = 0 * DualBracketSum({(1, 2): 1})
+    assert s.terms == {} and not s
+    assert repr(s) == "DualBracketSum(0)"
+    assert isinstance(s, DualBracketSum)
+    assert isinstance(2 * DualBracketSum({(1, 2): 1}) + s, DualBracketSum)
+
+
 def test_expansion_matches_defined_words():
     s = DualBracketSum({(1, 2): 1, (2, 1): 1})
     assert s.expansion().terms == {(1, 2): 2, (2, 1): 2}

@@ -92,6 +92,48 @@ def test_rank_matches_dense_rref():
     assert red[1] == {1: F(1), 2: F(1)}
 
 
+def _dense_gauss_jordan(rows, ncols):
+    # textbook Gauss-Jordan on a dense Fraction matrix: scale the pivot
+    # row to 1 and clear its column in every other row
+    mat = [[Fraction(r.get(j, 0)) for j in range(ncols)] for r in rows]
+    pivots, top = [], 0
+    for col in range(ncols):
+        hit = next((i for i in range(top, len(mat)) if mat[i][col]), None)
+        if hit is None:
+            continue
+        mat[top], mat[hit] = mat[hit], mat[top]
+        lead = mat[top][col]
+        mat[top] = [x / lead for x in mat[top]]
+        for i in range(len(mat)):
+            if i != top and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[top])]
+        pivots.append(col)
+        top += 1
+    return [{j: x for j, x in enumerate(row) if x} for row in mat[:top]], \
+        pivots
+
+
+def test_rref_matches_dense_gauss_jordan():
+    # sparse and dense, integer and rational matrices, with dependent rows
+    rng = random.Random(20261019)
+    for trial in range(120):
+        ncols = rng.randint(1, 14)
+        density = rng.choice((0.1, 0.3, 1.0))
+        rational = trial % 2 == 1
+        rows = [_random_vector(rng, ncols, density, rational)
+                for _ in range(rng.randint(0, ncols + 2))]
+        if rows and trial % 3 == 0:
+            rows.append(_random_combination(rng, rows))
+            rng.shuffle(rows)
+        red, pivots = rref(rows)
+        assert (red, pivots) == _dense_gauss_jordan(rows, ncols), trial
+        for row, p in zip(red, pivots):
+            assert row[p] == 1
+            assert all(type(c) in (int, Fraction) and c
+                       for c in row.values())
+
+
 def test_rank_upper_bound_falls_back_on_unlucky_prime():
     vecs = [{0: 1, 1: 1}, {0: 1, 1: 1 + _PRIME}]
     assert _rank_mod_prime(vecs) == 1
