@@ -19,11 +19,12 @@ from .cochains import (Cochain, DualValuedCochain, anti_cyclic_basis,
 from .complexes import (DGLA, boundary_apply, boundary_matrix,
                         boundary_word_terms, dgla_suite, free_lie_basis,
                         homology, intertwining_report, ker2_invariance,
-                        loday_apply, loday_matrix, omega0)
+                        ker2_invariance_reports, loday_apply, loday_matrix,
+                        omega0, superwitt_dim)
 from .duality import (DualBracketSum, contract, dual_bracket_word,
                       recovery_report, rotation_sum, structure_tensors)
 from .errors import InputError
 from .words import (LieElement, TensorElement, embedded_word, generator,
-                    higher_bracketing, projector_report, super_commutator)
+                    projector_report, super_commutator)
 
 __version__ = "0.1.0"

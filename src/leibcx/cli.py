@@ -24,7 +24,8 @@ from .cochains import (anti_cyclic_constraint_rows, cohomology,
                        same_row_space, subcomplex_report,
                        symmetry_identity_rows)
 from .complexes import (boundary_square_report, dgla_suite, homology,
-                        intertwining_report, ker2_invariance, omega0, DGLA)
+                        intertwining_report, ker2_invariance_reports, omega0,
+                        DGLA)
 from .duality import recovery_report, rotation_sum_report
 from .errors import InputError
 from .fileio import (algebra_to_doc, parse_algebra_file, parse_cochain_file,
@@ -95,29 +96,20 @@ def _cmd_liezation(args):
     return _emit(report, args, 0)
 
 
-def _cmd_homology(args):
+_TABLES = {
+    "homology": lambda alg, args: homology(alg, args.max_degree, args.loday),
+    "cohomology": lambda alg, args: cohomology(alg, args.max_degree),
+    "omega0": lambda alg, args: omega0(alg),
+}
+
+
+def _cmd_table(args):
+    """homology, cohomology and omega0: the computed dict, with a header."""
     algebra, _ = _resolve_algebra(args.algebra)
-    data = homology(algebra, max_degree=args.max_degree, loday=args.loday)
-    report = {"command": "homology", "dim": algebra.dim,
-              "max_degree": args.max_degree}
-    report.update(data)
-    return _emit(report, args, 0)
-
-
-def _cmd_cohomology(args):
-    algebra, _ = _resolve_algebra(args.algebra)
-    data = cohomology(algebra, max_degree=args.max_degree)
-    report = {"command": "cohomology", "dim": algebra.dim,
-              "max_degree": args.max_degree}
-    report.update(data)
-    return _emit(report, args, 0)
-
-
-def _cmd_omega0(args):
-    algebra, _ = _resolve_algebra(args.algebra)
-    data = omega0(algebra)
-    report = {"command": "omega0", "dim": algebra.dim}
-    report.update(data)
+    report = {"command": args.command, "dim": algebra.dim}
+    if "max_degree" in vars(args):
+        report["max_degree"] = args.max_degree
+    report.update(_TABLES[args.command](algebra, args))
     return _emit(report, args, 0)
 
 
@@ -168,8 +160,7 @@ def _suite_subcomplex(algebra, name, N):
     subs = _catalog.lie_subalgebras(name) if name else ()
     if not subs and algebra.is_antisymmetric():
         subs = (tuple(range(1, algebra.dim + 1)),)
-    for sub in subs:
-        rep = ker2_invariance(algebra, sub)
+    for sub, rep in zip(subs, ker2_invariance_reports(algebra, subs)):
         label = "_".join(str(i) for i in sub)
         out[f"kernel_invariance_{label}"] = rep["passed"]
     return out
@@ -266,16 +257,16 @@ def build_parser():
     common(p, degree=True)
     p.add_argument("--loday", action="store_true",
                    help="include the tensor-word complex")
-    p.set_defaults(func=_cmd_homology)
+    p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("cohomology",
                        help="cohomology of the anti-cyclic subcomplex")
     common(p, degree=True)
-    p.set_defaults(func=_cmd_cohomology)
+    p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("omega0", help="relation-space dimension for Lie input")
     common(p)
-    p.set_defaults(func=_cmd_omega0)
+    p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("double", help="build g + g* with the coadjoint bracket")
     common(p)

@@ -44,7 +44,27 @@ from .complexes import (boundary_matrix, boundary_word_terms, free_lie_basis,
                         homology)
 
 
-class Cochain:
+class _CochainBase:
+    """Equality, hashing and repr shared by the two kinds of cochain."""
+
+    __slots__ = ()
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.arity == other.arity
+                and self.dim == other.dim and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash((self.arity, self.dim, frozenset(self.coeffs.items())))
+
+    def __repr__(self):
+        return (f"{type(self).__name__}(arity={self.arity}, dim={self.dim}, "
+                f"{len(self.coeffs)} coefficients)")
+
+
+class Cochain(_CochainBase):
     """Scalar cochain: {word: Fraction} over length-arity index words."""
 
     __slots__ = ("arity", "dim", "coeffs")
@@ -79,16 +99,6 @@ class Cochain:
                 total += c * v
         return total
 
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (isinstance(other, Cochain) and self.arity == other.arity
-                and self.dim == other.dim and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.arity, self.dim, frozenset(self.coeffs.items())))
-
     def __add__(self, other):
         return Cochain(self.arity, self.dim,
                        _combine(self.coeffs, other.coeffs))
@@ -102,12 +112,8 @@ class Cochain:
         return Cochain(self.arity, self.dim,
                        {w: scalar * c for w, c in self.coeffs.items()})
 
-    def __repr__(self):
-        return f"Cochain(arity={self.arity}, dim={self.dim}, " \
-               f"{len(self.coeffs)} coefficients)"
 
-
-class DualValuedCochain:
+class DualValuedCochain(_CochainBase):
     """Cochain with values in the dual space: {(word, l): Fraction}."""
 
     __slots__ = ("arity", "dim", "coeffs", "_values")
@@ -135,20 +141,6 @@ class DualValuedCochain:
         """Dual vector at a word, as {l: Fraction}."""
         return dict(self._values.get(tuple(word), {}))
 
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (isinstance(other, DualValuedCochain)
-                and self.arity == other.arity and self.dim == other.dim
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.arity, self.dim, frozenset(self.coeffs.items())))
-
-    def __repr__(self):
-        return f"DualValuedCochain(arity={self.arity}, dim={self.dim}, " \
-               f"{len(self.coeffs)} coefficients)"
 
 
 def lower(f):

@@ -28,12 +28,11 @@ reduction needed no division.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, product
 
 from .algebras import ideal_residue, require_leibniz
 from .errors import InputError
-from .exactla import (SparseEchelon, _as_int_vector, _echelon, nullspace,
-                      rank, transpose)
+from .exactla import SparseEchelon, _as_int_vector, _echelon, rank
 from .words import (LieElement, TensorElement, _add_term, _combine, _extend,
                     embedded_word, super_commutator, tensor_words)
 
@@ -70,17 +69,28 @@ class LieBasisSlice:
     def dim(self):
         return len(self.words)
 
-    def coords(self, terms):
-        """Coordinates of a bracket-word term dict {word: coeff}."""
-        # coordinates are linear: embed den * element, which has integer
-        # coefficients, so the expansion sums no Fractions
+    def _solve(self, terms, solve):
+        # coordinates are linear: solve for den * element, which has
+        # integer coefficients, so its embedding sums no Fractions
         ints, den = _as_int_vector(terms)
-        raw = self.echelon.coordinates(_extend(ints, embedded_word))
-        if raw is None:
+        out = solve(_extend(ints, embedded_word))
+        if out is None:
             raise InputError(
                 f"element is outside the degree-{self.degree} span")
+        return out, den
+
+    def coords(self, terms):
+        """Coordinates of a bracket-word term dict {word: coeff}."""
+        raw, den = self._solve(terms, self.echelon.coordinates)
         return {self._src_pos[s]: c if den == 1 else c / den
                 for s, c in raw.items()}
+
+    def row_coords(self, terms):
+        """Integer coordinates of c * element over the echelon rows, c != 0.
+
+        They have the rank of coords() and make no Fraction; InputError
+        outside the span."""
+        return self._solve(terms, self.echelon.row_multipliers)[0]
 
     def element(self, coords):
         return LieElement({self.words[p]: c for p, c in coords.items() if c})
@@ -92,6 +102,14 @@ def free_lie_basis(m, degree):
             and degree >= 1):
         raise InputError("free_lie_basis needs positive integer arguments")
     return LieBasisSlice(m, degree)
+
+
+def superwitt_dim(m, n):
+    """dim F^n by the super-Witt formula: the sum over d | n of
+    (-1)^d d dim F^d is (-m)^n (Ree 1960; Petrogradsky 2000)."""
+    rest = sum((-1) ** d * d * superwitt_dim(m, d)
+               for d in range(1, n) if n % d == 0)
+    return ((-m) ** n - rest) // ((-1) ** n * n)
 
 
 def boundary_word_terms(algebra, word, variant="main"):
@@ -257,13 +275,23 @@ def homology(algebra, max_degree=4, loday=False):
     reaches it is exact.  Exact elimination runs only where it does not,
     that is where the homology at F^(n-1) is nonzero (or the prime is
     unlucky).  require_leibniz runs first, so both squares vanish.
+
+    F^N, N = max_degree, gets no basis: dim F^N is superwitt_dim, and
+    del_N is ranked on the prefix candidates (a,) + b that the slice of
+    F^N would insert (b a basis word of F^(N-1)), so they span F^N; their
+    columns are row_coords over F^(N-1), which keep the rank.
     """
     require_leibniz(algebra)
     if max_degree < 2:
         raise InputError("--max-degree must be at least 2")
     m = algebra.dim
-    dims = {n: free_lie_basis(m, n).dim for n in range(1, max_degree + 1)}
-    ranks = _ranks(dims, lambda n: boundary_matrix(algebra, n))
+    dims = {n: free_lie_basis(m, n).dim for n in range(1, max_degree)}
+    dims[max_degree] = superwitt_dim(m, max_degree)
+    dst = free_lie_basis(m, max_degree - 1)
+    top = [dst.row_coords(boundary_word_terms(algebra, (a,) + b))
+           for a in range(1, m + 1) for b in dst.words]
+    ranks = _ranks(dims, lambda n: top if n == max_degree
+                   else boundary_matrix(algebra, n))
     out = {"dims": dims, "ranks": ranks, "HA": _shifted_homology(dims, ranks)}
     if loday:
         tdims = {n: m ** n for n in range(1, max_degree + 1)}
@@ -306,52 +334,46 @@ def omega0(algebra):
     return {"dim": m * m - r, "rank": r, "relations": len(rows)}
 
 
-def kernel2_basis(algebra):
-    """Canonical basis of Ker(del_2) in F^2 coordinates, sparse vectors.
-
-    No computation reads it: it is the tests' reference for the kernel
-    data of ker2_invariance.
-    """
-    cols = boundary_matrix(algebra, 2)
-    return nullspace(transpose(cols, algebra.dim), len(cols))
-
-
 def ker2_invariance(algebra, subalgebra):
-    """Invariance data of a Lie subalgebra inside the degree-2 kernel.
+    """ker2_invariance_reports for one subalgebra: its report dict."""
+    return ker2_invariance_reports(algebra, [subalgebra])[0]
 
-    subalgebra: tuple of 1-based basis indices spanning a Lie subalgebra.
-    Checks (a) every pair word {u, v} over the subalgebra lies in
-    Ker(del_2) and (b) for u, v, w in the subalgebra the element
+
+def ker2_invariance_reports(algebra, subalgebras):
+    """Invariance data of Lie subalgebras inside the degree-2 kernel.
+
+    Each subalgebra is a tuple of 1-based basis indices.  Checks (a) every
+    pair word {u, v} over it lies in Ker(del_2) and (b) for u, v, w in it
     ([u,v], w) + (v, [u,w]) lies in Im(del_3).  For (a) no kernel is
-    built: del{u, v} = [u,v] + [v,u] is a combination of letters, a
-    basis of F^1, so {u, v} is a cycle exactly when that expansion is
-    empty; kernel_dim is dim F^2 - rank del_2.  Returns a report dict.
+    built: del{u, v} = [u,v] + [v,u] is a combination of letters, a basis
+    of F^1, so {u, v} is a cycle exactly when that expansion is empty;
+    kernel_dim is dim F^2 - rank del_2.  del_2 and del_3 are assembled
+    once for all the subalgebras.  Returns one report per subalgebra.
     """
     require_leibniz(algebra)
+    if not subalgebras:
+        return []
     slice2 = free_lie_basis(algebra.dim, 2)
     image = _echelon(boundary_matrix(algebra, 3))
-    kernel_failures = [(u, v) for u in subalgebra for v in subalgebra
-                       if boundary_word_terms(algebra, (u, v))]
-    image_failures = []
-    for u in subalgebra:
-        for v in subalgebra:
-            for w in subalgebra:
-                terms = {}
-                for k, c in algebra.bracket(u, v).items():
-                    _add_term(terms, (k, w), c)
-                for k, c in algebra.bracket(u, w).items():
-                    _add_term(terms, (v, k), c)
-                if not terms:
-                    continue
-                coords = slice2.coords(terms)
-                if not image.contains(coords):
-                    image_failures.append((u, v, w))
-    return {
-        "passed": not kernel_failures and not image_failures,
-        "kernel_failures": kernel_failures,
-        "image_failures": image_failures,
-        "kernel_dim": slice2.dim - rank(boundary_matrix(algebra, 2)),
-    }
+    kernel_dim = slice2.dim - rank(boundary_matrix(algebra, 2))
+    reports = []
+    for sub in subalgebras:
+        kernel_failures = [(u, v) for u in sub for v in sub
+                           if boundary_word_terms(algebra, (u, v))]
+        image_failures = []
+        for u, v, w in product(sub, repeat=3):
+            terms = {}
+            for k, c in algebra.bracket(u, v).items():
+                _add_term(terms, (k, w), c)
+            for k, c in algebra.bracket(u, w).items():
+                _add_term(terms, (v, k), c)
+            if terms and not image.contains(slice2.coords(terms)):
+                image_failures.append((u, v, w))
+        reports.append({"passed": not kernel_failures and not image_failures,
+                        "kernel_failures": kernel_failures,
+                        "image_failures": image_failures,
+                        "kernel_dim": kernel_dim})
+    return reports
 
 
 class DRElement:

@@ -51,9 +51,6 @@ class DualBracketSum(TensorElement):
         """The honest tensor element behind the symbolic sum."""
         return TensorElement._raw(_extend(self.terms, dual_bracket_word))
 
-    def arities(self):
-        return {len(w) for w in self.terms}
-
     def scalar(self):
         """Coefficient of the empty word (after full contraction)."""
         return self.terms.get((), Fraction(0))

@@ -186,6 +186,12 @@ class SparseEchelon:
         res, _, _ = self._reduce(vec)
         return not res
 
+    def row_multipliers(self, vec):
+        """{row: int} g with sum_k g[k] rows[k] = c vec for an int c != 0;
+        None if vec is outside the span.  Needs no tracking."""
+        res, _, gamma = self._reduce(vec)
+        return None if res else gamma
+
     def coordinates(self, vec):
         """Express vec over the inserted sources; None if outside the span."""
         if not self.track:

@@ -22,11 +22,7 @@ def jsonable(obj):
         if isinstance(obj, (set, frozenset)):
             items = sorted(items, key=repr)
         return [jsonable(v) for v in items]
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, int):
-        return obj
-    if isinstance(obj, str):
+    if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     return repr(obj)
 

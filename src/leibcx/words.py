@@ -191,11 +191,6 @@ def super_commutator(a, b):
     return TensorElement._raw(out)
 
 
-def higher_bracketing(el):
-    """Reinterpret the words of a tensor element as bracket words."""
-    return LieElement(el.terms)
-
-
 def projector_report(max_alphabet=3, max_length=6):
     """Certify that rebracketing the expansion scales by the word length.
 

@@ -6,18 +6,20 @@ from fractions import Fraction
 
 import pytest
 
-from leibcx import catalog, exactla
+from leibcx import catalog, complexes, exactla
 from leibcx.algebras import LeibnizAlgebra, liezation, symmetric_ideal
 from leibcx.complexes import (DGLA, boundary_apply, boundary_matrix,
                               boundary_square_report, boundary_word_terms,
                               dgla_suite, free_lie_basis, homology,
                               intertwining_report, ker2_invariance,
-                              kernel2_basis, loday_apply, loday_matrix,
-                              omega0)
+                              loday_apply, loday_matrix, omega0,
+                              superwitt_dim)
 from leibcx.errors import InputError
 from leibcx.exactla import SparseEchelon, rank
 from leibcx.fileio import parse_algebra_file
-from leibcx.words import LieElement, TensorElement, embedded_word
+from leibcx.words import (LieElement, TensorElement, _add_term,
+                          embedded_word)
+from support import kernel2_basis
 
 FROZEN_DIMS = {
     1: [1, 1, 0, 0, 0],
@@ -85,6 +87,18 @@ def test_slice_dims_super_witt():
         assert formula == dims
         assert [free_lie_basis(m, n).dim
                 for n in range(1, len(dims) + 1)] == formula
+        assert [superwitt_dim(m, n)
+                for n in range(1, len(dims) + 1)] == formula
+    # the package's formula, the copy above and the built slices agree;
+    # one letter (abelian1) spans F^1 and F^2 only
+    assert [superwitt_dim(1, n) for n in range(1, 9)] == [1, 1] + [0] * 6
+    for m, top in {1: 10, 2: 10, 3: 7, 4: 6}.items():
+        for n in range(1, top + 1):
+            assert superwitt_dim(m, n) == _super_witt(m, n) \
+                == free_lie_basis(m, n).dim, (m, n)
+    for m in range(1, 5):
+        assert [superwitt_dim(m, n) for n in range(1, 25)] == \
+            [_super_witt(m, n) for n in range(1, 25)], m
 
 
 def _full_sweep_words(m, n):
@@ -222,6 +236,64 @@ def test_certified_ranks_skip_exact_elimination(monkeypatch):
     rep = homology(parse_algebra_file(SL2_CONJ0), max_degree=7)
     assert rep["ranks"] == {2: 0, 3: 5, 4: 3, 5: 15, 6: 33, 7: 91}
     assert sizes == [6, 8]
+
+
+def _halved(A):
+    # the bracket times 1/2: isomorphic to A (by x -> 2x), with Fraction
+    # structure constants
+    m = A.dim
+    return LeibnizAlgebra(m, {
+        (i, j): {k: Fraction(c) / 2 for k, c in A.bracket(i, j).items()}
+        for i in range(1, m + 1) for j in range(1, m + 1)},
+        name=f"{A.name}_halved")
+
+
+def test_top_rank_on_the_spanning_candidates_matches_exact_elimination():
+    # homology ranks del_N on the prefix candidates in row coordinates;
+    # the reference is the exact rank of the basis-word columns of del_N.
+    # The halved copies give row_coords Fraction input.
+    cases = [catalog.get(name) for name in catalog.VALID_NAMES]
+    cases += [_halved(catalog.get("sl2")), _halved(catalog.get("doubleL2"))]
+    for A in cases:
+        for N in range(2, 7):
+            rep = homology(A, max_degree=N)
+            assert rep["ranks"][N] == \
+                exactla._echelon(boundary_matrix(A, N)).rank, (A.name, N)
+            assert rep["dims"] == {n: free_lie_basis(A.dim, n).dim
+                                   for n in range(1, N + 1)}, (A.name, N)
+
+
+def test_homology_builds_no_top_degree_slice(monkeypatch):
+    built = []
+    init = complexes.LieBasisSlice.__init__
+
+    def recording(self, m, degree):
+        built.append((m, degree))
+        init(self, m, degree)
+
+    monkeypatch.setattr(complexes.LieBasisSlice, "__init__", recording)
+    free_lie_basis.cache_clear()
+    rep = homology(catalog.get("sl2"), max_degree=6)
+    assert rep["dims"][6] == 124 and rep["ranks"][6] == 33
+    assert sorted(built) == [(3, n) for n in range(1, 6)]
+
+
+def test_row_coords_are_scaled_coordinates_over_the_rows():
+    sl = free_lie_basis(3, 4)
+    terms = {(3, 2, 1, 1): Fraction(1, 3), (2, 1, 3, 3): Fraction(-2, 5),
+             (1, 2, 3, 2): 4}
+    total = {}
+    for k, g in sl.row_coords(terms).items():
+        for i, v in sl.echelon.rows[k].items():
+            _add_term(total, i, g * v)
+    # the multipliers rebuild c times the embedding, for one c != 0
+    emb = LieElement(terms).embed().terms
+    assert set(total) == set(emb)
+    assert len({total[w] / c for w, c in emb.items()}) == 1
+    with pytest.raises(InputError):
+        sl.row_coords({(1, 2): 1})
+    with pytest.raises(InputError):
+        sl.coords({(1, 2): 1})
 
 
 def test_homology_rejects_bad_input():

@@ -1,9 +1,11 @@
 """Command line behavior: exit codes, file IO, deterministic output."""
 
 import json
+from collections import Counter
 
 import pytest
 
+from leibcx import cochains, complexes
 from leibcx.cli import main
 from leibcx.errors import InputError
 from leibcx.fileio import (parse_algebra_doc, parse_cochain_doc,
@@ -205,3 +207,22 @@ def test_cochain_doc_validation():
     for doc in bad_cases:
         with pytest.raises(InputError):
             parse_cochain_doc(doc)
+
+
+def test_check_subcomplex_assembles_each_boundary_at_most_twice(
+        capsys, monkeypatch):
+    # the six sl2 subalgebras share one del_2 and one del_3; the
+    # certificate assembles del_2 .. del_4 once more
+    counts = Counter()
+    assemble = complexes.boundary_matrix
+
+    def counting(algebra, n):
+        counts[n] += 1
+        return assemble(algebra, n)
+
+    monkeypatch.setattr(complexes, "boundary_matrix", counting)
+    monkeypatch.setattr(cochains, "boundary_matrix", counting)
+    code, out, _ = run(capsys, "check", "catalog:sl2", "--suite",
+                       "subcomplex", "--format", "json")
+    assert code == 0 and json.loads(out)["passed"]
+    assert counts == {2: 2, 3: 2, 4: 1}

