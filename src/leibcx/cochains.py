@@ -433,10 +433,8 @@ def symmetry_identity_rows(m, arity):
 
 
 def same_row_space(rows_a, rows_b):
-    """Exact mutual containment of two spans of sparse vectors."""
+    """Exact equality of two spans of sparse vectors: with equal ranks,
+    the span of A holding every row of B is the span of B."""
     ech_a = _echelon(rows_a)
-    ech_b = _echelon(rows_b)
-    if ech_a.rank != ech_b.rank:
-        return False
-    return (all(ech_a.contains(r) for r in rows_b)
-            and all(ech_b.contains(r) for r in rows_a))
+    return (ech_a.rank == _echelon(rows_b).rank
+            and all(ech_a.contains(r) for r in rows_b))

@@ -403,20 +403,12 @@ class DRElement:
         return (isinstance(other, DRElement) and self.gl == other.gl
                 and self.parts == other.parts)
 
-    def __hash__(self):
-        return hash((frozenset(self.gl.items()),
-                     frozenset((n, frozenset(c.items()))
-                               for n, c in self.parts.items())))
-
     def __add__(self, other):
         gl = _combine(self.gl, other.gl)
         parts = dict(self.parts)
         for n, terms in other.parts.items():
             parts[n] = _combine(parts.get(n, {}), terms)
         return DRElement(gl, parts)
-
-    def __sub__(self, other):
-        return self + (-1) * other
 
     def __rmul__(self, scalar):
         if not scalar:
@@ -463,10 +455,8 @@ class DGLA:
         self.slices = {n: free_lie_basis(m, n) for n in range(1, max_degree + 1)}
 
     def component_dims(self):
-        dims = {0: len(self.kept)}
-        for n, sl in self.slices.items():
-            dims[-n] = sl.dim
-        return dims
+        return {0: len(self.kept),
+                **{-n: sl.dim for n, sl in self.slices.items()}}
 
     def word_element(self, word):
         n = len(word)
@@ -551,65 +541,75 @@ def dgla_suite(dg):
     identities in degree -2, trivial action of the symmetric ideal, and
     the augmented composite vanishing on degree-2 boundaries.  Each
     check is a generator of failure witnesses.
+
+    The battery first tabulates, over the elements e_i of dg.basis(),
+    prod[i, j] = [e_i, e_j] for each pair within the cutoff, in the
+    sweeps' pair order, diff[i] = d e_i and diff2[i] = d diff[i].
+    Antisymmetry compares two entries of prod; Jacobi reads [b, c],
+    [a, b] and [a, c] there and brackets only with the outer element;
+    derivation reads diff and prod; differential_squared and
+    augmentation_kills_boundaries read diff2; the letter checks read
+    diff and prod at the letters x_i, basis entries x[i] = len(dg.kept)
+    + i - 1, which F^2 follows.
     """
-    algebra = dg.algebra
-    N = dg.N
-    m = algebra.dim
+    algebra, N, m = dg.algebra, dg.N, dg.algebra.dim
     br, d = dg.bracket, dg.differential
-    basis = dg.basis()
-    pairs = [(pa, a, pb, b) for pa, a in basis for pb, b in basis
-             if pa + pb <= N]
-    triples = [(i, j, k) for i in range(1, m + 1) for j in range(1, m + 1)
-               for k in range(1, m + 1)]
-    x = {i: dg.word_element((i,)) for i in range(1, m + 1)}
+    parity, el = zip(*dg.basis())
+    prod = {(i, j): br(a, b) for i, a in enumerate(el)
+            for j, b in enumerate(el) if parity[i] + parity[j] <= N}
+    diff = [d(a) for a in el]
+    diff2 = [d(da) for da in diff]
+    triples = list(product(range(1, m + 1), repeat=3))
+    x = {i: len(dg.kept) + i - 1 for i in range(1, m + 1)}
 
     def letters(vec):
         # degree -1 element of a g coordinate vector {k: c}
         return DRElement(parts={1: {(k,): c for k, c in vec.items()}})
 
     def antisymmetry():
-        for pa, a, pb, b in pairs:
-            if br(a, b) != (-((-1) ** (pa * pb))) * br(b, a):
-                yield repr(a), repr(b)
+        for (i, j), ab in prod.items():
+            if ab != (-((-1) ** (parity[i] * parity[j]))) * prod[j, i]:
+                yield repr(el[i]), repr(el[j])
 
     def jacobi():
-        for pa, a, pb, b in pairs:
-            for pc, c in basis:
-                if pa + pb + pc > N:
+        for (i, j), ab in prod.items():
+            sign = (-1) ** (parity[i] * parity[j])
+            for k, c in enumerate(el):
+                if parity[i] + parity[j] + parity[k] > N:
                     continue
-                lhs = br(a, br(b, c))
-                rhs = br(br(a, b), c) + ((-1) ** (pa * pb)) * br(b, br(a, c))
+                lhs = br(el[i], prod[j, k])
+                rhs = br(ab, c) + sign * br(el[j], prod[i, k])
                 if lhs != rhs:
-                    yield repr(a), repr(b), repr(c)
+                    yield repr(el[i]), repr(el[j]), repr(c)
 
     def differential_squared():
-        for _, a in basis:
-            if not d(d(a)).is_zero():
+        for a, dda in zip(el, diff2):
+            if not dda.is_zero():
                 yield repr(a)
 
     def derivation():
-        for pa, a, pb, b in pairs:
-            if d(br(a, b)) != br(d(a), b) + ((-1) ** pa) * br(a, d(b)):
-                yield repr(a), repr(b)
+        for (i, j), ab in prod.items():
+            if d(ab) != br(diff[i], el[j]) + \
+                    ((-1) ** parity[i]) * br(el[i], diff[j]):
+                yield repr(el[i]), repr(el[j])
 
     def derived_bracket():
-        for i in range(1, m + 1):
-            for j in range(1, m + 1):
-                if br(d(x[i]), x[j]) != letters(algebra.bracket(i, j)):
-                    yield i, j
+        for i, j in product(range(1, m + 1), repeat=2):
+            if br(diff[x[i]], el[x[j]]) != letters(algebra.bracket(i, j)):
+                yield i, j
 
     def lifted_identity_left():
         for i, j, k in triples:
-            lhs = br(d(x[i]), br(x[j], x[k]))
-            rhs = br(letters(algebra.bracket(i, j)), x[k]) + \
-                br(x[j], letters(algebra.bracket(i, k)))
+            lhs = br(diff[x[i]], prod[x[j], x[k]])
+            rhs = br(letters(algebra.bracket(i, j)), el[x[k]]) + \
+                br(el[x[j]], letters(algebra.bracket(i, k)))
             if lhs != rhs:
                 yield i, j, k
 
     def lifted_identity_sym():
         for i, j, k in triples:
-            lhs = br(d(br(x[i], x[j])), x[k])
-            if lhs != br(letters(algebra.symmetrized(i, j)), x[k]):
+            lhs = br(d(prod[x[i], x[j]]), el[x[k]])
+            if lhs != br(letters(algebra.symmetrized(i, j)), el[x[k]]):
                 yield i, j, k
 
     def ideal_acts_trivially():
@@ -621,8 +621,8 @@ def dgla_suite(dg):
                         yield vec, n, p
 
     def augmentation_kills_boundaries():
-        for w in dg.slices[2].words:
-            if d(d(dg.word_element(w))).gl:
+        for w, dd in zip(dg.slices[2].words, diff2[x[m] + 1:]):
+            if dd.gl:
                 yield w
 
     checks = (antisymmetry, jacobi, differential_squared, derivation,

@@ -18,6 +18,11 @@ Cochain files:
      "coefficients": [[[1, 1, 2], "1/3"], ...]}
 
 degree n means n+1 indices per coefficient entry.
+
+Only the fields shown are read.  Any other field of an algebra, a
+bracket entry or a cochain raises InputError naming it, so a misspelt
+key, or a cochain file given where an algebra belongs, fails loud
+rather than being read as a zero bracket or a zero cochain.
 """
 
 import json
@@ -64,9 +69,16 @@ def _require_int(doc, key, where):
     return v
 
 
+def _require_fields(doc, fields, where):
+    unknown = sorted(set(doc) - set(fields))
+    if unknown:
+        raise InputError(f"{where}: unknown field {unknown[0]!r}")
+
+
 def parse_algebra_doc(doc, where="algebra"):
     if not isinstance(doc, dict):
         raise InputError(f"{where}: top level must be a JSON object")
+    _require_fields(doc, ("name", "dim", "basis", "brackets"), where)
     dim = _require_int(doc, "dim", where)
     if dim < 1:
         raise InputError(f"{where}: dim must be >= 1")
@@ -87,6 +99,7 @@ def parse_algebra_doc(doc, where="algebra"):
         tag = f"{where}: brackets[{pos}]"
         if not isinstance(entry, dict):
             raise InputError(f"{tag} must be an object")
+        _require_fields(entry, ("left", "right", "value"), tag)
         i = _require_int(entry, "left", tag)
         j = _require_int(entry, "right", tag)
         if not (1 <= i <= dim and 1 <= j <= dim):
@@ -140,6 +153,7 @@ def algebra_to_doc(algebra, basis=None):
 def parse_cochain_doc(doc, where="cochain"):
     if not isinstance(doc, dict):
         raise InputError(f"{where}: top level must be a JSON object")
+    _require_fields(doc, ("degree", "dim", "coefficients"), where)
     dim = _require_int(doc, "dim", where)
     if dim < 1:
         raise InputError(f"{where}: dim must be >= 1")

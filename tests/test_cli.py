@@ -186,6 +186,13 @@ def test_algebra_doc_validation():
         {"dim": 2, "basis": ["x"], "brackets": []},
         {"dim": 2, "brackets": [{"left": 1, "right": 1,
                                  "value": [[2, True]]}]},
+        # misspelt key: read as the abelian algebra before it was refused
+        {"dim": 2, "bracket": [{"left": 1, "right": 1, "value": [[2, "1"]]}]},
+        # a cochain document given as an algebra
+        {"degree": 2, "dim": 2, "coefficients": [[[1, 1, 2], "1/2"]]},
+        # unknown key in a bracket entry
+        {"dim": 2, "brackets": [{"left": 1, "right": 1, "value": [[2, "1"]],
+                                 "coeff": "1"}]},
     ]
     for doc in bad_cases:
         with pytest.raises(InputError):
@@ -203,10 +210,30 @@ def test_cochain_doc_validation():
                                     [[1, 1, 2], "2"]]},     # duplicate
         {"degree": True, "dim": 2, "coefficients": [[[1, 1], "1"]]},
         {"dim": 2, "coefficients": [[[1, 1, 2], True]]},
+        # an algebra document given as a cochain: once a zero twist
+        {"dim": 2, "brackets": [{"left": 1, "right": 1, "value": [[2, "1"]]}]},
     ]
     for doc in bad_cases:
         with pytest.raises(InputError):
             parse_cochain_doc(doc)
+
+
+def test_unknown_fields_exit_2(tmp_path, capsys):
+    algebra = tmp_path / "L2.json"
+    algebra.write_text(json.dumps({"dim": 2, "bracket": [
+        {"left": 1, "right": 1, "value": [[2, "1"]]}]}))
+    code, out, err = run(capsys, "homology", str(algebra))
+    assert code == 2 and out == "" and "'bracket'" in err
+    cochain = tmp_path / "h.json"
+    cochain.write_text(json.dumps(
+        {"degree": 2, "dim": 2, "coefficients": [[[1, 1, 2], "1"]]}))
+    code, out, err = run(capsys, "check", str(cochain))
+    assert code == 2 and out == "" and "'coefficients'" in err
+    code, _, _ = run(capsys, "catalog", "L2", "-o", str(algebra))
+    assert code == 0
+    code, out, err = run(capsys, "double", "catalog:L2",
+                         "--cocycle", str(algebra))
+    assert code == 2 and out == "" and "'brackets'" in err
 
 
 def test_check_subcomplex_assembles_each_boundary_at_most_twice(

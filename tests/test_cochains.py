@@ -265,6 +265,14 @@ def test_same_row_space_negative():
     assert not same_row_space(a, a + b)
 
 
+def test_same_row_space_positive():
+    # two generating sets of one span, and a redundant row
+    e0, e1 = {0: Fraction(1)}, {1: Fraction(1)}
+    rows = [{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(-1)}]
+    assert same_row_space([e0, e1], rows)
+    assert same_row_space(rows, [e0, e1, {0: Fraction(2)}])
+
+
 def test_bracket_coords_table_consistency():
     table = bracket_coords_table(2, 3)
     sl = free_lie_basis(2, 3)

@@ -113,6 +113,27 @@ def test_every_sweep_can_fail():
             "augmentation_kills_boundaries"} <= failed
 
 
+def test_battery_brackets_each_basis_pair_once(monkeypatch):
+    # one table of basis brackets and one of differentials; sweeps that
+    # bracket inside each check make 62,436 and 3,732 calls here
+    calls = {"bracket": 0, "differential": 0}
+    bracket, differential = DGLA.bracket, DGLA.differential
+
+    def counted_bracket(self, a, b):
+        calls["bracket"] += 1
+        return bracket(self, a, b)
+
+    def counted_differential(self, a):
+        calls["differential"] += 1
+        return differential(self, a)
+
+    monkeypatch.setattr(DGLA, "bracket", counted_bracket)
+    monkeypatch.setattr(DGLA, "differential", counted_differential)
+    checks = dgla_suite(DGLA(catalog.get("abelian4"), 4))
+    assert all(v["passed"] for v in checks.values())
+    assert calls["bracket"] <= 32100 and calls["differential"] <= 1500, calls
+
+
 def record():
     out = {_key(*case): _battery(*case) for case in CASES}
     with open(RECORD, "w", encoding="utf-8") as fh:
