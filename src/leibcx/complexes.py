@@ -455,8 +455,10 @@ class DGLA:
         self.slices = {n: free_lie_basis(m, n) for n in range(1, max_degree + 1)}
 
     def component_dims(self):
-        return {0: len(self.kept),
-                **{-n: sl.dim for n, sl in self.slices.items()}}
+        dims = {0: len(self.kept)}
+        for n, sl in self.slices.items():
+            dims[-n] = sl.dim
+        return dims
 
     def word_element(self, word):
         n = len(word)
@@ -542,15 +544,14 @@ def dgla_suite(dg):
     the augmented composite vanishing on degree-2 boundaries.  Each
     check is a generator of failure witnesses.
 
-    The battery first tabulates, over the elements e_i of dg.basis(),
-    prod[i, j] = [e_i, e_j] for each pair within the cutoff, in the
-    sweeps' pair order, diff[i] = d e_i and diff2[i] = d diff[i].
-    Antisymmetry compares two entries of prod; Jacobi reads [b, c],
-    [a, b] and [a, c] there and brackets only with the outer element;
-    derivation reads diff and prod; differential_squared and
-    augmentation_kills_boundaries read diff2; the letter checks read
-    diff and prod at the letters x_i, basis entries x[i] = len(dg.kept)
-    + i - 1, which F^2 follows.
+    Before any check runs, the battery tabulates over the elements e_i
+    of dg.basis(): prod[i, j] = [e_i, e_j] for each pair within the
+    cutoff, in the sweeps' pair order, diff[i] = d e_i and diff2[i] =
+    d diff[i].  Antisymmetry compares two entries of prod; Jacobi reads
+    [b, c], [a, b] and [a, c] there and brackets only with the outer
+    element; derivation reads diff and prod; d o d and the augmentation
+    read diff2; the letter checks read diff and prod at x[i] =
+    len(dg.kept) + i - 1, the entry of the letter x_i, which F^2 follows.
     """
     algebra, N, m = dg.algebra, dg.N, dg.algebra.dim
     br, d = dg.bracket, dg.differential

@@ -186,7 +186,7 @@ def test_algebra_doc_validation():
         {"dim": 2, "basis": ["x"], "brackets": []},
         {"dim": 2, "brackets": [{"left": 1, "right": 1,
                                  "value": [[2, True]]}]},
-        # misspelt key: read as the abelian algebra before it was refused
+        # misspelt key: ignored, it would leave the abelian algebra
         {"dim": 2, "bracket": [{"left": 1, "right": 1, "value": [[2, "1"]]}]},
         # a cochain document given as an algebra
         {"degree": 2, "dim": 2, "coefficients": [[[1, 1, 2], "1/2"]]},
@@ -210,7 +210,7 @@ def test_cochain_doc_validation():
                                     [[1, 1, 2], "2"]]},     # duplicate
         {"degree": True, "dim": 2, "coefficients": [[[1, 1], "1"]]},
         {"dim": 2, "coefficients": [[[1, 1, 2], True]]},
-        # an algebra document given as a cochain: once a zero twist
+        # an algebra document given as a cochain: ignored, a zero twist
         {"dim": 2, "brackets": [{"left": 1, "right": 1, "value": [[2, "1"]]}]},
     ]
     for doc in bad_cases:

@@ -268,7 +268,8 @@ def test_same_row_space_negative():
 def test_same_row_space_positive():
     # two generating sets of one span, and a redundant row
     e0, e1 = {0: Fraction(1)}, {1: Fraction(1)}
-    rows = [{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(-1)}]
+    rows = [{0: Fraction(1), 1: Fraction(1)},
+            {0: Fraction(1), 1: Fraction(-1)}]
     assert same_row_space([e0, e1], rows)
     assert same_row_space(rows, [e0, e1, {0: Fraction(2)}])
 
