@@ -363,14 +363,13 @@ def classify_extension(algebra, hcochain):
                             for col in del4)
     if not out["closed"]:
         return out
-    ech = SparseEchelon(track=True)
+    ech = SparseEchelon()
     for col in coboundary_matrix_on_anti_cyclic(algebra, 1):
         ech.insert(col)
     extension = []
     for z in nullspace(del4, len(vec)):
-        src = ech.nsources
         if ech.insert(z):
-            extension.append(src)
+            extension.append(ech.rank - 1)
     coords = ech.coordinates(v)
     if coords is None:
         # closed cochain must lie in the cocycle space

@@ -47,22 +47,19 @@ class LieBasisSlice:
     = a (x) eps(w) - (-1)^(n-1) eps(w) (x) a is linear in eps(w), so when
     w lies in the span of lex-smaller words, (a,) + w lies in the span of
     the lex-smaller words (a,) + v, and the full sweep would reject it
-    too.  coords() expresses any element of the span over the kept
-    words, exactly.
+    too.  Echelon row k is the embedding of the k-th kept word, so
+    coords() reads the echelon's coordinates as they are: it expresses
+    any element of the span over the kept words, exactly.
     """
 
     def __init__(self, m, degree):
         self.m = m
         self.degree = degree
-        self.echelon = SparseEchelon(track=True)
+        self.echelon = SparseEchelon()
         self.words = []
-        self._src_pos = {}
         tails = free_lie_basis(m, degree - 1).words if degree > 1 else [()]
-        candidates = ((a,) + b for a in range(1, m + 1) for b in tails)
-        for src, w in enumerate(candidates):
-            emb = embedded_word(w)
-            if self.echelon.insert(emb):
-                self._src_pos[src] = len(self.words)
+        for w in ((a,) + b for a in range(1, m + 1) for b in tails):
+            if self.echelon.insert(embedded_word(w)):
                 self.words.append(w)
 
     @property
@@ -82,8 +79,7 @@ class LieBasisSlice:
     def coords(self, terms):
         """Coordinates of a bracket-word term dict {word: coeff}."""
         raw, den = self._solve(terms, self.echelon.coordinates)
-        return {self._src_pos[s]: c if den == 1 else c / den
-                for s, c in raw.items()}
+        return raw if den == 1 else {k: c / den for k, c in raw.items()}
 
     def row_coords(self, terms):
         """Integer coordinates of c * element over the echelon rows, c != 0.
@@ -347,8 +343,12 @@ def ker2_invariance_reports(algebra, subalgebras):
     ([u,v], w) + (v, [u,w]) lies in Im(del_3).  For (a) no kernel is
     built: del{u, v} = [u,v] + [v,u] is a combination of letters, a basis
     of F^1, so {u, v} is a cycle exactly when that expansion is empty;
-    kernel_dim is dim F^2 - rank del_2.  del_2 and del_3 are assembled
-    once for all the subalgebras.  Returns one report per subalgebra.
+    kernel_dim is dim F^2 - rank del_2.  For (b) the boundary identity
+    del{u, v, w} = ([u,v], w) + (v, [u,w]) - (u, [v,w] + [w,v]) puts
+    ([u,v], w) + (v, [u,w]) in Im(del_3) exactly when (u, s) is there,
+    s = [v,w] + [w,v]; a triple with s = 0 passes.  del_2 and del_3 are
+    assembled once for all the subalgebras.  Returns one report per
+    subalgebra.
     """
     require_leibniz(algebra)
     if not subalgebras:
@@ -362,11 +362,8 @@ def ker2_invariance_reports(algebra, subalgebras):
                            if boundary_word_terms(algebra, (u, v))]
         image_failures = []
         for u, v, w in product(sub, repeat=3):
-            terms = {}
-            for k, c in algebra.bracket(u, v).items():
-                _add_term(terms, (k, w), c)
-            for k, c in algebra.bracket(u, w).items():
-                _add_term(terms, (v, k), c)
+            terms = {(u, k): c
+                     for k, c in algebra.symmetrized(v, w).items()}
             if terms and not image.contains(slice2.coords(terms)):
                 image_failures.append((u, v, w))
         reports.append({"passed": not kernel_failures and not image_failures,

@@ -8,11 +8,12 @@ happens in the hot loop.  Reduction applies the stored rows in insertion
 order, but visits only the rows whose pivot the residue reaches (a heap
 of row positions, fed as updates create entries at pivots), as in sparse
 partial pivoting.
-With track=True each accepted row also carries its expression over the
-inserted source vectors, fraction-free as well: integer coefficients over
-one positive denominator.  Coordinate recovery (membership certificates)
-combines these over a common denominator and creates Fractions only for
-the coordinates it returns.
+Each insert records the multipliers its reduction produced, so row k is
+a combination of the k-th accepted vector and the rows before it.
+Coordinate recovery (membership certificates) reduces once and then
+back-substitutes through these records from the highest row down, in
+integers over one denominator, creating Fractions only for the
+coordinates it returns.
 
 A matrix is a list of such vectors: the columns for boundary maps, the
 rows where rref and nullspace say so.  rref and nullspace are read-outs
@@ -58,27 +59,25 @@ def _gcd_normalize(row):
 
 
 class SparseEchelon:
-    """Incremental integer row echelon with optional coordinate tracking.
+    """Incremental integer row echelon with coordinate recovery.
 
     insert(vec) reduces vec against the stored rows; if a nonzero residue
     remains it becomes a new row and insert returns True, otherwise False.
     rank == number of stored rows.  Reduction applies the rows in
     insertion order, but only the rows whose pivot the residue reaches,
-    so its cost follows the arithmetic, not the rank.  With track=True,
-    coordinates(vec) returns {source_index: Fraction} expressing vec over
-    the accepted and rejected insertions alike (every insert() call is a
-    source), or None when vec is outside the span.  The expression of
-    each row is kept fraction-free too: integer coefficients over one
-    positive denominator, in lowest terms.
+    so its cost follows the arithmetic, not the rank.  Row k is the k-th
+    accepted insert, reduced: insert records (scale, div, gamma) with
+    div * rows[k] = scale * vec - sum_j gamma[j] * rows[j], every j < k.
+    coordinates(vec) returns {row k: Fraction} expressing vec over the
+    accepted inserts, or None when vec is outside the span.
     """
 
-    def __init__(self, track=False):
+    def __init__(self):
         self.rows = []        # list of integer dicts, one pivot each
         self.pivots = {}      # pivot index -> row position
         self._rowpiv = []     # row position -> pivot index
-        self.track = track
-        self._exprs = []      # row -> ({source: int}, den > 0), if track
-        self.nsources = 0
+        self._mults = []      # row position -> (scale, div, gamma)
+        self.nsources = 0     # insert() calls, accepted or not
 
     @property
     def rank(self):
@@ -131,41 +130,13 @@ class SparseEchelon:
             gamma[k] = q
         return res, scale, gamma
 
-    def _combine(self, gamma):
-        # sum_k gamma[k] * expr[k] as ({source: int}, den), den > 0
-        den = lcm(*(self._exprs[k][1] for k in gamma))
-        out = {}
-        for k, g in gamma.items():
-            expr, d = self._exprs[k]
-            f = g * (den // d)
-            for s, c in expr.items():
-                v = out.get(s, 0) + f * c
-                if v:
-                    out[s] = v
-                else:
-                    out.pop(s, None)
-        return out, den
-
     def insert(self, vec):
-        src = self.nsources
         self.nsources += 1
         res, scale, gamma = self._reduce(vec)
         if not res:
             return False
         res, div = _gcd_normalize(res)
-        if self.track:
-            # res = (scale * vec - sum_k gamma_k * rows[k]) / div
-            #     = (sum_k gamma_k * rows[k] - scale * vec) / (-div)
-            expr, den = self._combine(gamma)
-            expr[src] = -scale * den
-            den *= -div
-            g = gcd(den, *expr.values())
-            if den < 0:
-                g = -g
-            if g != 1:
-                expr = {s: c // g for s, c in expr.items()}
-                den //= g
-            self._exprs.append((expr, den))
+        self._mults.append((scale, div, gamma))
         piv = min(res)
         self.pivots[piv] = len(self.rows)
         self._rowpiv.append(piv)
@@ -188,20 +159,46 @@ class SparseEchelon:
 
     def row_multipliers(self, vec):
         """{row: int} g with sum_k g[k] rows[k] = c vec for an int c != 0;
-        None if vec is outside the span.  Needs no tracking."""
+        None if vec is outside the span.  The reduction alone, with no
+        back-substitution."""
         res, _, gamma = self._reduce(vec)
         return None if res else gamma
 
     def coordinates(self, vec):
-        """Express vec over the inserted sources; None if outside the span."""
-        if not self.track:
-            raise RuntimeError("echelon built without track=True")
-        res, scale, gamma = self._reduce(vec)
+        """{row k: Fraction} with vec = sum_k x[k] (k-th accepted insert),
+        in ascending k; None if vec is outside the span."""
+        res, den, num = self._reduce(vec)
         if res:
             return None
-        num, den = self._combine(gamma)
-        den *= scale
-        return {s: Fraction(c, den) for s, c in num.items()}
+        # den * vec = sum_k num[k] rows[k].  Expand the highest pending
+        # row into its insert and lower rows, over the common denominator
+        # den, scaling everything by div where div does not divide; no
+        # row above k is pending then, so num[k] is final when popped.
+        heap = [-k for k in num]
+        heapify(heap)
+        out = {}
+        while heap:
+            k = -heappop(heap)
+            c = num.pop(k)
+            if not c:
+                continue
+            scale, div, gamma = self._mults[k]
+            if c % div == 0:
+                c //= div
+            else:
+                den *= div
+                for j in num:
+                    num[j] *= div
+                for j in out:
+                    out[j] *= div
+            out[k] = c * scale
+            for j, g in gamma.items():
+                if j in num:
+                    num[j] -= c * g
+                else:
+                    num[j] = -c * g
+                    heappush(heap, -j)
+        return {k: Fraction(out[k], den) for k in sorted(out)}
 
 
 def _echelon(rows):

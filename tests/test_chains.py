@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,8 @@ from leibcx.complexes import (DGLA, boundary_apply, boundary_matrix,
                               boundary_square_report, boundary_word_terms,
                               dgla_suite, free_lie_basis, homology,
                               intertwining_report, ker2_invariance,
-                              loday_apply, loday_matrix, omega0,
-                              superwitt_dim)
+                              ker2_invariance_reports, loday_apply,
+                              loday_matrix, omega0, superwitt_dim)
 from leibcx.errors import InputError
 from leibcx.exactla import SparseEchelon, rank
 from leibcx.fileio import parse_algebra_file
@@ -278,6 +279,28 @@ def test_homology_builds_no_top_degree_slice(monkeypatch):
     assert sorted(built) == [(3, n) for n in range(1, 6)]
 
 
+@pytest.mark.parametrize("m, n", [(2, 7), (3, 5), (4, 4)])
+def test_coords_rebuild_random_elements(m, n):
+    # coords back-substitute over the echelon rows; row k is word k
+    sl = free_lie_basis(m, n)
+    rng = random.Random(100 * m + n)
+    for trial in range(12):
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            w = tuple(rng.randint(1, m) for _ in range(n))
+            c = rng.randint(-5, 5)
+            if trial % 2:
+                c = Fraction(c, rng.randint(1, 7))
+            _add_term(terms, w, c)
+        total = {}
+        for k, c in sl.coords(terms).items():
+            for t, v in embedded_word(sl.words[k]).items():
+                _add_term(total, t, c * v)
+        assert total == LieElement(terms).embed().terms, (m, n, trial)
+    for k, w in enumerate(sl.words):
+        assert sl.coords({w: 1}) == {k: 1}, (m, n, w)
+
+
 def test_row_coords_are_scaled_coordinates_over_the_rows():
     sl = free_lie_basis(3, 4)
     terms = {(3, 2, 1, 1): Fraction(1, 3), (2, 1, 3, 3): Fraction(-2, 5),
@@ -343,6 +366,31 @@ def test_ker2_invariance_matches_the_kernel_basis():
             assert rep["kernel_dim"] == len(basis), (name, sub)
     rep = ker2_invariance(catalog.get("L2"), (1,))
     assert rep["kernel_failures"] == [(1, 1)] and not rep["passed"]
+
+
+def test_ker2_image_condition_matches_the_two_bracket_terms():
+    # reference: ([u,v], w) + (v, [u,w]) itself tested against Im(del_3),
+    # on every basis subset of size 1 to 3, a Lie subalgebra or not
+    with_failures = 0
+    for name in catalog.VALID_NAMES:
+        A = catalog.get(name)
+        image = exactla._echelon(boundary_matrix(A, 3))
+        slice2 = free_lie_basis(A.dim, 2)
+        subs = [sub for size in (1, 2, 3)
+                for sub in itertools.combinations(range(1, A.dim + 1), size)]
+        for sub, rep in zip(subs, ker2_invariance_reports(A, subs)):
+            want = []
+            for u, v, w in itertools.product(sub, repeat=3):
+                terms = {}
+                for k, c in A.bracket(u, v).items():
+                    _add_term(terms, (k, w), c)
+                for k, c in A.bracket(u, w).items():
+                    _add_term(terms, (v, k), c)
+                if terms and not image.contains(slice2.coords(terms)):
+                    want.append((u, v, w))
+            assert rep["image_failures"] == want, (name, sub)
+            with_failures += bool(want)
+    assert with_failures == 13
 
 
 def test_dgla_component_dims():

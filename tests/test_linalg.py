@@ -32,27 +32,20 @@ def test_echelon_fractions_cleared():
 
 
 def test_echelon_expressions_are_integer_rows():
-    ech = SparseEchelon(track=True)
+    ech = SparseEchelon()
     ech.insert({0: Fraction(1, 3), 1: Fraction(2, 5)})
     ech.insert({0: Fraction(3, 7), 2: Fraction(-1, 4)})
     ech.insert({1: Fraction(5, 6), 2: Fraction(1, 9)})
     ech.insert({0: Fraction(1, 2), 1: Fraction(1, 2), 2: Fraction(1, 2)})
     assert ech.rank == 3
-    for expr, den in ech._exprs:
-        assert isinstance(den, int) and den > 0
-        assert all(type(c) is int and c for c in expr.values())
-        assert gcd(den, *expr.values()) == 1
-    assert ech._exprs[2][1] == 127
-    ech = SparseEchelon(track=True)
+    ech = SparseEchelon()
     ech.insert({0: F(2), 1: F(4)})
     ech.insert({0: F(3), 1: F(1)})
     assert ech.rows == [{0: 1, 1: 2}, {1: 1}]
-    # row 0 = source 0 / 2, row 1 = (3 * source 0 - 2 * source 1) / 10
-    assert ech._exprs == [({0: 1}, 2), ({0: 3, 1: -2}, 10)]
 
 
 def test_echelon_coordinates_exact():
-    ech = SparseEchelon(track=True)
+    ech = SparseEchelon()
     ech.insert({0: F(1), 1: F(2)})
     ech.insert({0: F(1), 1: F(3), 2: F(1)})
     ech.insert({1: F(1), 2: F(1)})  # dependent: source 2
@@ -291,7 +284,14 @@ def test_echelon_matches_all_rows_reference():
         ncols = rng.choice((10, 24))
         density = rng.choice((0.1, 0.3, 0.9))
         rational = trial % 2 == 1
-        ech, ref = SparseEchelon(track=True), _ReferenceEchelon()
+        ech, ref = SparseEchelon(), _ReferenceEchelon()
+        row_of = {}       # accepted reference source -> echelon row
+
+        def ref_coords(vec):
+            coords = ref.coordinates(vec)
+            return None if coords is None else \
+                {row_of[s]: c for s, c in coords.items()}
+
         inserted = []
         for _ in range(ncols + 4):
             if inserted and rng.random() < 0.3:
@@ -302,20 +302,21 @@ def test_echelon_matches_all_rows_reference():
             want = ref._reduce(vec)
             assert (_items(res), scale, _items(gamma)) == \
                 (_items(want[0]), want[1], _items(want[2]))
-            assert ech.coordinates(vec) == ref.coordinates(vec)
-            assert ech.insert(vec) == ref.insert(vec)
+            assert ech.coordinates(vec) == ref_coords(vec)
+            src = ref.nsources
+            accepted = ech.insert(vec)
+            assert accepted == ref.insert(vec)
+            if accepted:
+                row_of[src] = ech.rank - 1
             inserted.append(vec)
             assert [_items(r) for r in ech.rows] == \
                 [_items(r) for r in ref.rows]
             assert ech.pivots == ref.pivots and ech.rank == len(ref.rows)
-            assert [[(s, Fraction(c, den)) for s, c in expr.items()]
-                    for expr, den in ech._exprs] == \
-                [_items(e) for e in ref._exprs]
         for vec in [_random_combination(rng, inserted) for _ in range(4)] + \
                 [_random_vector(rng, ncols, density, rational)]:
             got = ech.coordinates(vec)
-            assert got == ref.coordinates(vec)
-            assert got is None or _items(got) == _items(ref.coordinates(vec))
+            assert got == ref_coords(vec)
+            assert got is None or list(got) == sorted(got)
 
 
 def test_rank_mod_prime_matches_exact_rank():
