@@ -37,7 +37,7 @@ print("as a coordinate vector:", twice.as_vector())
 # Signed rotation sums of dual expansions vanish identically.
 total = rotation_sum((1, 2, 3, 4))
 print("\nsigned rotation sum of {1,2,3,4}*:", total)
-print("its tensor expansion:", rotation_sum((1, 2, 3, 4)).expansion().terms)
+print("its tensor expansion:", rotation_sum((1, 2, 3, 4)).expansion())
 rep = rotation_sum_report(max_length=5)
 print("vanishes for every word up to length 5:", rep["passed"])
 print("unsigned sums survive only at lengths:",

@@ -24,7 +24,6 @@ from .complexes import (DGLA, boundary_apply, boundary_matrix,
 from .duality import (DualBracketSum, contract, dual_bracket_word,
                       recovery_report, rotation_sum, structure_tensors)
 from .errors import InputError
-from .words import (LieElement, TensorElement, embedded_word, generator,
-                    projector_report, super_commutator)
+from .words import embedded_word, projector_report, super_commutator
 
 __version__ = "0.1.0"

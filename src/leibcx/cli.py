@@ -47,8 +47,11 @@ def _emit(report, args, exit_code, payload=None):
     """Print report; -o writes payload (default: report) as canonical JSON."""
     text = canonical_json(report)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text if payload is None else canonical_json(payload))
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text if payload is None else canonical_json(payload))
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc}") from exc
     if args.format == "json":
         sys.stdout.write(text)
     else:

@@ -6,6 +6,9 @@ extracted greedily through the tensor embedding, and del expands a word
 by bracketing pairs of letters.  The tensor-word complex (T^n, del_L)
 uses plain tensor words and the classical pairwise boundary.  The
 embedding intertwines the two, which is one of the certified theorems.
+Elements of either complex are term dicts {word: coeff}; boundary_apply
+and loday_apply take and return them, and bracket-word dicts are
+compared through their embeddings.
 
 Homology of the bracket-word complex is reported with a shift:
 HA_n = dim F^(n+1) - rank del_(n+1) - rank del_(n+2), so HA_0 equals the
@@ -33,8 +36,8 @@ from itertools import islice, product
 from .algebras import ideal_residue, require_leibniz
 from .errors import InputError
 from .exactla import SparseEchelon, _as_int_vector, _echelon, rank
-from .words import (LieElement, TensorElement, _add_term, _combine, _extend,
-                    embedded_word, super_commutator, tensor_words)
+from .words import (_add_term, _combine, _extend, embedded_word,
+                    super_commutator, tensor_words)
 
 
 class LieBasisSlice:
@@ -89,7 +92,8 @@ class LieBasisSlice:
         return self._solve(terms, self.echelon.row_multipliers)[0]
 
     def element(self, coords):
-        return LieElement({self.words[p]: c for p, c in coords.items() if c})
+        """The bracket-word term dict with the given coordinates."""
+        return {self.words[p]: c for p, c in coords.items() if c}
 
 
 @lru_cache(maxsize=None)
@@ -149,10 +153,9 @@ def boundary_word_terms(algebra, word, variant="main"):
     raise InputError(f"unknown boundary variant {variant!r}")
 
 
-def boundary_apply(algebra, element):
-    """del of a LieElement; result is a LieElement one degree down."""
-    return LieElement._raw(_extend(
-        element.terms, lambda w: boundary_word_terms(algebra, w)))
+def boundary_apply(algebra, terms):
+    """del of a bracket-word term dict, one degree down."""
+    return _extend(terms, lambda w: boundary_word_terms(algebra, w))
 
 
 def boundary_matrix(algebra, n):
@@ -172,10 +175,9 @@ def boundary_matrix(algebra, n):
     return cols
 
 
-def loday_apply(algebra, element):
-    """del_L of a TensorElement of plain words."""
-    return TensorElement._raw(_extend(
-        element.terms, lambda w: boundary_word_terms(algebra, w, "loday")))
+def loday_apply(algebra, terms):
+    """del_L of a tensor-word term dict, one degree down."""
+    return _extend(terms, lambda w: boundary_word_terms(algebra, w, "loday"))
 
 
 def loday_matrix(algebra, n):
@@ -204,14 +206,9 @@ def boundary_square_report(algebra, max_degree=5):
             if t1 != t2:
                 failures["variants"].append(w)
             if n >= 3:
-                dd = boundary_apply(
-                    algebra, boundary_apply(algebra, LieElement._raw(
-                        {w: Fraction(1)})))
-                if dd.embed():
+                if _extend(boundary_apply(algebra, t1), embedded_word):
                     failures["main"].append(w)
-            ll = loday_apply(algebra, loday_apply(
-                algebra, TensorElement._raw({w: Fraction(1)})))
-            if ll:
+            if loday_apply(algebra, boundary_word_terms(algebra, w, "loday")):
                 failures["loday"].append(w)
     return {
         "main_square_zero": {"passed": not failures["main"],
@@ -229,13 +226,9 @@ def intertwining_report(algebra, max_length=5):
     failures = []
     for n in range(1, max_length + 1):
         for w in tensor_words(m, n):
-            lhs = loday_apply(
-                algebra, TensorElement._raw(dict(embedded_word(w))))
-            if n >= 2:
-                rhs_terms = boundary_word_terms(algebra, w, "main")
-                rhs = LieElement._raw(rhs_terms).embed()
-            else:
-                rhs = TensorElement._raw({})
+            lhs = loday_apply(algebra, embedded_word(w))
+            rhs = (_extend(boundary_word_terms(algebra, w, "main"),
+                           embedded_word) if n >= 2 else {})
             if lhs != rhs:
                 failures.append(w)
     return {"passed": not failures, "failures": failures}
@@ -419,7 +412,9 @@ class DRElement:
         if self.gl:
             bits.append(f"gl{self.gl}")
         for n in sorted(self.parts):
-            bits.append(f"F{n}({TensorElement._raw(self.parts[n])!r})")
+            terms = " + ".join(f"{c}*{''.join(map(str, w))}"
+                               for w, c in sorted(self.parts[n].items()))
+            bits.append(f"F{n}({terms})")
         return "DR(" + (" + ".join(bits) if bits else "0") + ")"
 
 
@@ -511,15 +506,13 @@ class DGLA:
         for p, ta in a.parts.items():
             for q, tb in b.parts.items():
                 if p + q <= self.N:
-                    add(p + q, super_commutator(TensorElement._raw(ta),
-                                                TensorElement._raw(tb)).terms)
+                    add(p + q, super_commutator(ta, tb))
         return DRElement(gl, parts)
 
     def differential(self, a):
         one = a.parts.get(1)
         gl = self.project({w[0]: c for w, c in one.items()}) if one else {}
-        parts = {n - 1: loday_apply(self.algebra,
-                                    TensorElement._raw(terms)).terms
+        parts = {n - 1: loday_apply(self.algebra, terms)
                  for n, terms in a.parts.items() if n >= 2}
         return DRElement(gl, parts)
 

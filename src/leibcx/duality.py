@@ -5,9 +5,10 @@ The dual bracket word on symbols x1..xn expands by peeling either end:
     {x1}* = x1
     {x1..xn}* = x1 (x) {x2..xn}*  -  (-1)^(n-1) xn (x) {x1..x^(n-1)}*
 
-A DualBracketSum keeps such words symbolically (it only expands on
-demand), because contraction against a functional acts on the symbolic
-level: i_f peels f(x1) off the front and -(-1)^(n-1) f(xn) off the back.
+A DualBracketSum keeps a term dict of such words symbolically, because
+contraction against a functional acts on the symbolic level: i_f peels
+f(x1) off the front and -(-1)^(n-1) f(xn) off the back.  Its expansion()
+is the tensor term dict, made on demand.
 
 The signed cyclic rotation sum of a dual bracket word expands to zero;
 that vanishing is one of the certified statements.  The mu tensor of a
@@ -21,7 +22,7 @@ from functools import lru_cache
 
 from .algebras import require_twist
 from .errors import InputError
-from .words import TensorElement, _add_term, _extend
+from .words import _add_term, _combine, _extend
 from .cochains import Cochain
 
 
@@ -42,14 +43,41 @@ def dual_bracket_word(word):
     return out
 
 
-class DualBracketSum(TensorElement):
-    """Rational combination of dual bracket words, kept symbolic."""
+class DualBracketSum:
+    """Rational combination of dual bracket words, kept symbolic.
 
-    __slots__ = ()
+    terms is a term dict {word: Fraction}; the class lets contract refuse
+    anything that is not symbolic."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {}
+        for w, c in (terms or {}).items():
+            c = Fraction(c)
+            if c:
+                self.terms[tuple(w)] = c
+
+    @classmethod
+    def _raw(cls, terms):
+        el = cls.__new__(cls)
+        el.terms = terms
+        return el
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        return DualBracketSum._raw(_combine(self.terms, other.terms))
+
+    def __rmul__(self, scalar):
+        scalar = Fraction(scalar)
+        return DualBracketSum._raw(
+            {w: scalar * c for w, c in self.terms.items()} if scalar else {})
 
     def expansion(self):
-        """The honest tensor element behind the symbolic sum."""
-        return TensorElement._raw(_extend(self.terms, dual_bracket_word))
+        """The honest tensor term dict behind the symbolic sum."""
+        return _extend(self.terms, dual_bracket_word)
 
     def scalar(self):
         """Coefficient of the empty word (after full contraction)."""

@@ -42,7 +42,12 @@ def rational_from_string(s):
     if not isinstance(s, str) or not _RATIONAL_RE.match(s):
         raise InputError(
             f"bad rational {s!r}; expected \"p\" or \"p/q\" with q > 0")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ValueError as exc:
+        # the interpreter's limit on the digits of an integer string
+        raise InputError(
+            f"rational {s[:20]}... of {len(s)} characters: {exc}") from exc
 
 
 def rational_to_string(x):
@@ -58,7 +63,7 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or too many digits
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 

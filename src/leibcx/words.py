@@ -1,14 +1,16 @@
-"""Words, term dicts, tensor elements, and the bracket-word embedding.
+"""Words, term dicts, and the bracket-word embedding.
 
 A word is a tuple of positive ints naming basis generators.  A term dict
-{word: coeff} holds only nonzero coefficients; _add_term, _combine and
-_extend (the linear extension of a word map) are the arithmetic on them
-that every module shares, and tensor_words enumerates the words of one
-length over an alphabet.  TensorElement is a sparse rational combination
-of words in the free associative algebra; LieElement is the same
-container but its words are read as iterated bracketings {x1, ..., xn}
-(left-normed higher brackets), compared through their associative
-embeddings.
+{word: coeff} holds only nonzero coefficients and is the one element
+form: read as tensor words it is an element of the free associative
+algebra, read as bracket words {x1, ..., xn} (left-normed higher
+brackets) an element of the free Lie superalgebra, and two bracket-word
+dicts are equal elements exactly when _extend(terms, embedded_word)
+agrees.  _add_term, _combine and _extend (the linear extension of a word
+map) are the arithmetic on them that every module shares, and
+tensor_words enumerates the words of one length over an alphabet.
+Functions that return a term dict return a fresh one, except
+embedded_word, whose dicts are the shared cache and are never mutated.
 
 The embedding eps sends {x1,...,xn} to the signed sum of permutation
 words defined by the recursion
@@ -17,12 +19,11 @@ words defined by the recursion
     eps{x1,...,xn} = x1 (x) eps{x2..xn}  -  (-1)^(n-1)  eps{x2..xn} (x) x1
 
 (all generators carry odd parity).  It is injective on the span of the
-bracket words of a fixed length, which is what makes LieElement equality
-and the echelon-based basis extraction in complexes.py work.
+bracket words of a fixed length, which is what makes comparison through
+the embedding and the echelon-based basis extraction in complexes.py work.
 """
 
 import itertools
-from fractions import Fraction
 
 from .errors import InputError
 
@@ -79,116 +80,23 @@ def embedded_word(word):
     return out
 
 
-class TensorElement:
-    """Sparse rational combination of tensor words."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for w, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[tuple(w)] = c
-
-    @classmethod
-    def _raw(cls, terms):
-        el = cls.__new__(cls)
-        el.terms = terms
-        return el
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, TensorElement):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        return type(self)._raw(_combine(self.terms, other.terms))
-
-    def __sub__(self, other):
-        return type(self)._raw(_combine(self.terms, other.terms, -1))
-
-    def __neg__(self):
-        return type(self)._raw({w: -c for w, c in self.terms.items()})
-
-    def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
-        if not scalar:
-            return type(self)._raw({})
-        return type(self)._raw({w: scalar * c for w, c in self.terms.items()})
-
-    def tensor(self, other):
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                _add_term(out, w1 + w2, c1 * c2)
-        return TensorElement._raw(out)
-
-    def homogeneous_length(self):
-        """Common word length, or None if mixed/zero."""
-        lengths = {len(w) for w in self.terms}
-        if len(lengths) == 1:
-            return lengths.pop()
-        return None
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for w in sorted(self.terms):
-            c = self.terms[w]
-            bits.append(f"{c}*{''.join(map(str, w))}")
-        return " + ".join(bits)
-
-
-class LieElement(TensorElement):
-    """Combination of bracket words; equality via the tensor embedding."""
-
-    __slots__ = ()
-
-    def embed(self):
-        return TensorElement._raw(_extend(self.terms, embedded_word))
-
-    def __eq__(self, other):
-        if isinstance(other, LieElement):
-            return self.embed().terms == other.embed().terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.embed().terms.items()))
-
-
-def generator(i):
-    if not (isinstance(i, int) and i >= 1):
-        raise InputError(f"generator index must be a positive int, got {i!r}")
-    return TensorElement._raw({(i,): Fraction(1)})
-
-
 def super_commutator(a, b):
-    """Graded commutator a(x)b - (-1)^(pq) b(x)a on homogeneous elements.
+    """Graded commutator a(x)b - (-1)^(pq) b(x)a of homogeneous term dicts.
 
     Parity of a word is its length mod 2 (every generator is odd).
     """
-    if not a.terms or not b.terms:
-        return TensorElement._raw({})
-    p = a.homogeneous_length()
-    q = b.homogeneous_length()
-    if p is None or q is None:
+    if not a or not b:
+        return {}
+    p, q = {len(w) for w in a}, {len(w) for w in b}
+    if len(p) != 1 or len(q) != 1:
         raise InputError("super_commutator needs length-homogeneous inputs")
-    sign = -((-1) ** (p * q))
+    sign = -((-1) ** (p.pop() * q.pop()))
     out = {}
-    for w1, c1 in a.terms.items():
-        for w2, c2 in b.terms.items():
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
             _add_term(out, w1 + w2, c1 * c2)
             _add_term(out, w2 + w1, sign * c1 * c2)
-    return TensorElement._raw(out)
+    return out
 
 
 def projector_report(max_alphabet=3, max_length=6):

@@ -7,19 +7,17 @@ from fractions import Fraction
 
 import pytest
 
-from leibcx import catalog, complexes, exactla
+from leibcx import catalog, complexes, exactla, words
 from leibcx.algebras import LeibnizAlgebra, liezation, symmetric_ideal
-from leibcx.complexes import (DGLA, boundary_apply, boundary_matrix,
-                              boundary_square_report, boundary_word_terms,
-                              dgla_suite, free_lie_basis, homology,
-                              intertwining_report, ker2_invariance,
-                              ker2_invariance_reports, loday_apply,
+from leibcx.complexes import (DGLA, boundary_matrix, boundary_square_report,
+                              boundary_word_terms, dgla_suite,
+                              free_lie_basis, homology, intertwining_report,
+                              ker2_invariance, ker2_invariance_reports,
                               loday_matrix, omega0, superwitt_dim)
 from leibcx.errors import InputError
 from leibcx.exactla import SparseEchelon, rank
 from leibcx.fileio import parse_algebra_file
-from leibcx.words import (LieElement, TensorElement, _add_term,
-                          embedded_word)
+from leibcx.words import _add_term, _extend, embedded_word
 from support import kernel2_basis
 
 FROZEN_DIMS = {
@@ -45,7 +43,8 @@ def test_slice_coords_round_trip():
     # {2,1,1} = -2 {1,1,2}: head 2 against the symmetric pair {1,1}
     coords = sl.coords({(2, 1, 1): Fraction(1)})
     assert coords == {0: Fraction(-2)}
-    assert sl.element(coords) == LieElement({(2, 1, 1): 1})
+    assert (_extend(sl.element(coords), embedded_word)
+            == _extend({(2, 1, 1): 1}, embedded_word))
 
 
 def test_slice_coords_of_rational_element():
@@ -296,7 +295,7 @@ def test_coords_rebuild_random_elements(m, n):
         for k, c in sl.coords(terms).items():
             for t, v in embedded_word(sl.words[k]).items():
                 _add_term(total, t, c * v)
-        assert total == LieElement(terms).embed().terms, (m, n, trial)
+        assert total == _extend(terms, embedded_word), (m, n, trial)
     for k, w in enumerate(sl.words):
         assert sl.coords({w: 1}) == {k: 1}, (m, n, w)
 
@@ -310,7 +309,7 @@ def test_row_coords_are_scaled_coordinates_over_the_rows():
         for i, v in sl.echelon.rows[k].items():
             _add_term(total, i, g * v)
     # the multipliers rebuild c times the embedding, for one c != 0
-    emb = LieElement(terms).embed().terms
+    emb = _extend(terms, embedded_word)
     assert set(total) == set(emb)
     assert len({total[w] / c for w, c in emb.items()}) == 1
     with pytest.raises(InputError):
@@ -428,7 +427,8 @@ def test_dgla_differential_matches_boundary_matrix():
             cols = boundary_matrix(A, n)
             for p, w in enumerate(dg.slices[n].words):
                 got = dg.differential(dg.word_element(w)).parts.get(n - 1, {})
-                want = dg.slices[n - 1].element(cols[p]).embed().terms
+                want = _extend(dg.slices[n - 1].element(cols[p]),
+                               embedded_word)
                 assert got == want, (name, w)
 
 
@@ -448,6 +448,18 @@ def test_dgla_free_bracket_stays_in_word_span():
 
 def test_dgla_suite_small():
     checks = dgla_suite(DGLA(catalog.get("L2"), max_degree=3))
+    assert all(v["passed"] for v in checks.values()), checks
+
+
+def test_dgla_suite_leaves_the_embedding_cache_unchanged():
+    # word elements hold the cached embeddings themselves, and the
+    # bracket adds into the first dict it keeps: no result may alias them
+    dg = DGLA(catalog.get("sl2"), max_degree=4)
+    dg.basis()
+    before = {w: dict(terms) for w, terms in words._EMBED_CACHE.items()}
+    checks = dgla_suite(dg)
+    for w, terms in before.items():
+        assert words._EMBED_CACHE[w] == terms, w
     assert all(v["passed"] for v in checks.values()), checks
 
 

@@ -163,7 +163,9 @@ def test_double_with_cocycle(tmp_path, capsys):
 def test_rational_strings():
     assert rational_from_string("3/4") == 0.75
     assert rational_from_string("-2") == -2
-    for bad in ("3/0", "3/-4", "1.5", "a", "2/4/8", "", True, False):
+    # the last two pass the pattern but exceed the digit limit of int()
+    for bad in ("3/0", "3/-4", "1.5", "a", "2/4/8", "", True, False,
+                "1" * 5000, "1/" + "1" * 5000):
         with pytest.raises(InputError):
             rational_from_string(bad)
     assert rational_to_string(rational_from_string("-6/4")) == "-3/2"
@@ -234,6 +236,32 @@ def test_unknown_fields_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, "double", "catalog:L2",
                          "--cocycle", str(algebra))
     assert code == 2 and out == "" and "'brackets'" in err
+
+
+def test_unreadable_input_exits_2(tmp_path, capsys):
+    # an integer literal and rational strings past the digit limit of
+    # int(), and a file that is not UTF-8
+    digits = "1" * 5000
+    cases = (
+        ("validate", '{"dim": ' + digits + "}"),
+        ("homology", '{"name": "\u00e9", "dim": 1}'),
+        ("validate", json.dumps({"dim": 1, "brackets": [
+            {"left": 1, "right": 1, "value": [[1, digits]]}]})),
+        ("double catalog:L2 --cocycle", json.dumps(
+            {"degree": 2, "dim": 2, "coefficients": [[[1, 1, 2], digits]]})),
+    )
+    for pos, (cmd, text) in enumerate(cases):
+        path = tmp_path / f"{pos}.json"
+        path.write_bytes(text.encode("latin-1"))
+        code, out, err = run(capsys, *cmd.split(), str(path))
+        assert code == 2 and out == "" and err.startswith("error: "), cmd
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run(capsys, "catalog", "L2", "-o", str(target))
+        assert code == 2 and out == "", target
+        assert err.startswith(f"error: cannot write {target}"), err
 
 
 def test_check_subcomplex_assembles_each_boundary_at_most_twice(

@@ -61,7 +61,7 @@ def test_zero_multiple_of_a_dual_bracket_sum_is_zero():
 
 def test_expansion_matches_defined_words():
     s = DualBracketSum({(1, 2): 1, (2, 1): 1})
-    assert s.expansion().terms == {(1, 2): 2, (2, 1): 2}
+    assert s.expansion() == {(1, 2): 2, (2, 1): 2}
 
 
 def test_rotation_sum_vanishes_signed():
