@@ -3,7 +3,10 @@
 Each case runs ``leibcx.cli.main`` in process and compares stdout and the
 exit code with the files under tests/golden/.  Every command runs with
 ``--format json`` on every entry; on sl2 and B1 it also runs with
-``--format text``, so the text printer has a byte check too.
+``--format text``, so the text printer has a byte check too.  One more
+file, under golden/dense/, holds homology of a dense change of basis of
+sl2 (tests/data/sl2_conj0.json) to degree 7, ranked by exact elimination
+alone.
 Refactors of the internals must leave every case unchanged.
 
 Record the files again (only when an output change is intended) with
@@ -97,7 +100,43 @@ def test_dense_change_of_basis_matches_catalog():
         assert conj[1] == 0
 
 
+# homology of the sl2 conjugate, recorded with every rank taken by exact
+# elimination (_exact_ranks_only), so the reference for the dense path does
+# not come from the modular certificate it checks
+DENSE_KEY = "dense/sl2_conj0_homology_max-degree_7"
+DENSE_ARGV = ["homology", os.path.join(HERE, "data", "sl2_conj0.json"),
+              "--max-degree", "7", "--format", "json"]
+
+
+def test_dense_change_of_basis_matches_exact_reference():
+    with open(os.path.join(GOLDEN, DENSE_KEY + ".out"), encoding="utf-8",
+              newline="") as fh:
+        want = fh.read()
+    assert _run(DENSE_ARGV) == (want, 0)
+
+
+@contextlib.contextmanager
+def _exact_ranks_only():
+    # a modular rank of -1 never meets the bound, so rank() falls back
+    # to exact elimination on every column
+    from leibcx import exactla
+    saved = exactla._rank_mod_prime
+    exactla._rank_mod_prime = lambda *args, **kwargs: -1
+    try:
+        yield
+    finally:
+        exactla._rank_mod_prime = saved
+
+
 def record():
+    with _exact_ranks_only():
+        text, code = _run(DENSE_ARGV)
+    assert code == 0
+    os.makedirs(os.path.dirname(os.path.join(GOLDEN, DENSE_KEY)),
+                exist_ok=True)
+    with open(os.path.join(GOLDEN, DENSE_KEY + ".out"), "w",
+              encoding="utf-8", newline="") as fh:
+        fh.write(text)
     codes = {}
     for _, key, argv in CASES:
         text, code = _run(argv)
