@@ -268,7 +268,9 @@ def homology(algebra, max_degree=4, loday=False):
     F^N, N = max_degree, gets no basis: dim F^N is superwitt_dim, and
     del_N is ranked on the prefix candidates (a,) + b that the slice of
     F^N would insert (b a basis word of F^(N-1)), so they span F^N; their
-    columns are row_coords over F^(N-1), which keep the rank.
+    columns are row_coords over F^(N-1), which keep the rank.  They are
+    built on demand, as rank() pulls them: once the rank meets its bound
+    the remaining candidates are never built.
     """
     require_leibniz(algebra)
     if max_degree < 2:
@@ -277,8 +279,8 @@ def homology(algebra, max_degree=4, loday=False):
     dims = {n: free_lie_basis(m, n).dim for n in range(1, max_degree)}
     dims[max_degree] = superwitt_dim(m, max_degree)
     dst = free_lie_basis(m, max_degree - 1)
-    top = [dst.row_coords(boundary_word_terms(algebra, (a,) + b))
-           for a in range(1, m + 1) for b in dst.words]
+    top = (dst.row_coords(boundary_word_terms(algebra, (a,) + b))
+           for a in range(1, m + 1) for b in dst.words)
     ranks = _ranks(dims, lambda n: top if n == max_degree
                    else boundary_matrix(algebra, n))
     out = {"dims": dims, "ranks": ranks, "HA": _shifted_homology(dims, ranks)}

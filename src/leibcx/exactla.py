@@ -24,6 +24,9 @@ Beside the engine sits a rank modulo a word-sized prime, a lower bound
 on the rank over Q.  rank() uses it only for callers that hold a proven
 upper bound (homology, by del o del = 0): when the two meet, the rank is
 exact without elimination over Z; otherwise SparseEchelon decides.
+rank() takes any iterable of columns and pulls them one at a time, so a
+caller can build its columns on demand: the modular pass stops at the
+column that meets the bound, and the exact fallback sees every column.
 """
 
 from fractions import Fraction
@@ -211,14 +214,17 @@ def _echelon(rows):
 _PRIME = 1073741789   # the largest prime below 2**30
 
 
-def _rank_mod_prime(vectors):
+def _rank_mod_prime(vectors, stop=None):
     # rank of the vectors reduced modulo _PRIME: a lower bound on their
     # rank over Q, since clearing a vector's denominators only scales it
     # and a minor that is nonzero mod p is nonzero.  Rows are monic and
     # visited as in SparseEchelon._reduce: in insertion order, only the
-    # rows whose pivot the residue holds.
+    # rows whose pivot the residue holds.  Once the rank reaches stop no
+    # further vector is pulled.
     p = _PRIME
     rows, rowpiv, pivots = [], [], {}
+    if stop == 0:
+        return 0
     for vec in vectors:
         res = {}
         for i, c in _as_int_vector(vec)[0].items():
@@ -251,20 +257,31 @@ def _rank_mod_prime(vectors):
             pivots[piv] = len(rows)
             rowpiv.append(piv)
             rows.append({i: c * inv % p for i, c in res.items()})
+            if len(rows) == stop:
+                break
     return len(rows)
 
 
-def rank(rows, upper=None):
-    """Rank of a list of sparse vectors (dicts).
+def rank(vectors, upper=None):
+    """Rank of an iterable of sparse vectors (dicts), pulled once each.
 
     upper, if given, must be a proven upper bound on the rank, such as
     the one del o del = 0 gives a boundary map.  The rank modulo a prime
-    is a lower bound, so when it reaches upper it is the rank; otherwise
-    (nonzero homology, or an unlucky prime) the exact elimination runs.
+    is a lower bound, so when it reaches upper it is the rank, and no
+    vector past the one that reaches it is pulled (none when upper is
+    0).  Otherwise (nonzero homology, or an unlucky prime) the exact
+    elimination runs on every vector: those the modular pass pulled and
+    the rest.
     """
-    if upper is not None and _rank_mod_prime(rows) == upper:
+    if upper is None:
+        return _echelon(vectors).rank
+    vectors = iter(vectors)
+    pulled = []     # each vector as the modular pass pulls it
+    if _rank_mod_prime((pulled.append(v) or v for v in vectors),
+                       upper) == upper:
         return upper
-    return _echelon(rows).rank
+    pulled.extend(vectors)
+    return _echelon(pulled).rank
 
 
 def rref(rows):

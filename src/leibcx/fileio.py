@@ -65,6 +65,8 @@ def _load_json(path):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # bad JSON or UTF-8, or too many digits
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # the decoder recurses once per level
+        raise InputError(f"{path} is nested too deeply to read") from exc
 
 
 def _require_int(doc, key, where):

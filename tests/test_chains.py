@@ -278,6 +278,28 @@ def test_homology_builds_no_top_degree_slice(monkeypatch):
     assert sorted(built) == [(3, n) for n in range(1, 6)]
 
 
+def test_homology_builds_top_columns_only_up_to_the_bound(monkeypatch):
+    # del_N is ranked on m * dim F^(N-1) prefix candidates, built as the
+    # rank pulls them.  sl2 has no homology at F^6, so rank del_7 meets
+    # its bound 91 after 238 of the 372; doubleL2 has homology at F^4,
+    # the bound is never met, and every candidate is built
+    calls = []
+    row_coords = complexes.LieBasisSlice.row_coords
+
+    def counting(self, terms):
+        calls.append(self.degree)
+        return row_coords(self, terms)
+
+    monkeypatch.setattr(complexes.LieBasisSlice, "row_coords", counting)
+    rep = homology(catalog.get("sl2"), max_degree=7)
+    assert rep["ranks"][7] == rep["dims"][6] - rep["ranks"][6] == 91
+    assert calls == [6] * 238 and 238 < 3 * free_lie_basis(3, 6).dim == 372
+    calls.clear()
+    rep = homology(catalog.get("doubleL2"), max_degree=5)
+    assert rep["ranks"][5] == 44 < rep["dims"][4] - rep["ranks"][4] == 47
+    assert calls == [4] * 240 and 4 * free_lie_basis(4, 4).dim == 240
+
+
 @pytest.mark.parametrize("m, n", [(2, 7), (3, 5), (4, 4)])
 def test_coords_rebuild_random_elements(m, n):
     # coords back-substitute over the echelon rows; row k is word k

@@ -240,8 +240,10 @@ def test_unknown_fields_exit_2(tmp_path, capsys):
 
 def test_unreadable_input_exits_2(tmp_path, capsys):
     # an integer literal and rational strings past the digit limit of
-    # int(), and a file that is not UTF-8
+    # int(), a file that is not UTF-8, and 100,000 nested arrays, past
+    # the recursion limit of the JSON decoder
     digits = "1" * 5000
+    nested = "[" * 100_000 + "]" * 100_000
     cases = (
         ("validate", '{"dim": ' + digits + "}"),
         ("homology", '{"name": "\u00e9", "dim": 1}'),
@@ -249,6 +251,8 @@ def test_unreadable_input_exits_2(tmp_path, capsys):
             {"left": 1, "right": 1, "value": [[1, digits]]}]})),
         ("double catalog:L2 --cocycle", json.dumps(
             {"degree": 2, "dim": 2, "coefficients": [[[1, 1, 2], digits]]})),
+        ("validate", nested),
+        ("double catalog:L2 --cocycle", nested),
     )
     for pos, (cmd, text) in enumerate(cases):
         path = tmp_path / f"{pos}.json"

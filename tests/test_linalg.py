@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+from leibcx import exactla
 from leibcx.exactla import (_PRIME, SparseEchelon, _gcd_normalize,
                             _rank_mod_prime, nullspace, rank, rref,
                             transpose)
@@ -135,6 +136,60 @@ def test_rank_upper_bound_falls_back_on_unlucky_prime():
     assert rank(vecs, upper=1) == 1
     assert rank([{0: Fraction(1, 2)}, {0: Fraction(1, 3), 1: Fraction(2, 5)}],
                 upper=2) == 2
+
+
+def _counting(vecs, pulls):
+    # hands out vecs one at a time, appending each to pulls as it goes
+    for vec in vecs:
+        pulls.append(vec)
+        yield vec
+
+
+def test_rank_pulls_no_column_past_the_bound():
+    # the third vector is the second independent one: it meets upper=2
+    vecs = [{0: 1, 1: 2}, {0: -3, 1: -6}, {1: 1}, {2: 1}, {3: 1}]
+    pulls = []
+    assert rank(_counting(vecs, pulls), upper=2) == 2
+    assert pulls == vecs[:3]
+    pulls = []
+    assert rank(_counting(vecs, pulls), upper=0) == 0
+    assert pulls == []
+    pulls = []
+    assert _rank_mod_prime(_counting(vecs, pulls), 0) == 0
+    assert pulls == []
+
+
+def test_rank_fallback_sees_every_column(monkeypatch):
+    # the bound is not met (an unlucky prime, then nonzero homology), so
+    # exact elimination must rank the columns the modular pass pulled
+    for vecs, upper, want in (
+            ([{0: 1, 1: 1}, {0: 1, 1: 1 + _PRIME}], 2, 2),
+            ([{0: 1}, {1: 1}, {0: 2, 1: 2}], 3, 2)):
+        pulls = []
+        assert rank(_counting(vecs, pulls), upper=upper) == want
+        assert pulls == vecs
+
+    # a modular pass that gives up after one column: the fallback ranks
+    # that column and the rest
+    def first_only(vectors, stop=None):
+        next(iter(vectors))
+        return -1
+
+    monkeypatch.setattr(exactla, "_rank_mod_prime", first_only)
+    vecs = [{0: 1}, {1: Fraction(1, 2)}, {0: 1, 1: 1}, {2: 3}]
+    pulls = []
+    assert rank(_counting(vecs, pulls), upper=3) == 3
+    assert pulls == vecs
+
+
+def test_rank_mod_prime_stops_at_stop():
+    rng = random.Random(11)
+    for trial in range(10):
+        vecs = [_random_vector(rng, 8, 0.5, trial % 2) for _ in range(6)]
+        vecs += [_random_combination(rng, vecs) for _ in range(3)]
+        full = _rank_mod_prime(vecs)
+        for stop in range(len(vecs) + 1):
+            assert _rank_mod_prime(vecs, stop) == min(stop, full), trial
 
 
 def test_nullspace_canonical():
