@@ -17,7 +17,7 @@ print("embedding of {1,1}:   ", dict(embedded_word((1, 1))))
 print("embedding of {1,2,3}: ", dict(sorted(embedded_word((1, 2, 3)).items())))
 print("embedding of {1,1,1}: ", dict(embedded_word((1, 1, 1))), "(vanishes)")
 
-rep = projector_report(max_alphabet=3, max_length=6)
+rep = projector_report(max_length=6)
 print("\nre-bracketing scales by the length, words over alphabets to 3 "
       f"and lengths to {rep['max_length']}: {rep['passed']}")
 

@@ -186,7 +186,7 @@ def _suite_dr(algebra, name, N):
 
 def _suite_dual(algebra, name, N):
     out = {}
-    out["projector_identity"] = projector_report(3, min(N + 2, 6))["passed"]
+    out["projector_identity"] = projector_report(min(N + 2, 6))["passed"]
     out["rotation_sums_vanish"] = rotation_sum_report(5)["passed"]
     dbl, omega = double(algebra)
     out["double_anti_invariant"] = check_anti_invariance(dbl, omega)["passed"]

@@ -121,36 +121,24 @@ def boundary_word_terms(algebra, word, variant="main"):
     """
     word = tuple(word)
     L = len(word)
-    out = {}
-
-    def add_pair(i, j, sign):
-        for k, c in algebra.bracket(word[i], word[j]).items():
-            nw = word[:i] + word[i + 1:j] + (k,) + word[j + 1:]
-            _add_term(out, nw, sign * c)
-
-    if variant == "loday":
-        for i in range(L):
-            for j in range(i + 1, L):
-                add_pair(i, j, (-1) ** i)
-        return out
-    if L < 2:
+    if variant not in ("main", "alt", "loday"):
+        raise InputError(f"unknown boundary variant {variant!r}")
+    if variant != "loday" and L < 2:
         raise InputError("bracket-word boundary needs words of length >= 2")
-    tailsign = (-1) ** L
-    if variant == "main":
-        for i in range(L):
-            for j in range(i + 1, L):
-                add_pair(i, j, (-1) ** i)
-        for k, c in algebra.bracket(word[L - 1], word[L - 2]).items():
-            _add_term(out, word[:L - 2] + (k,), tailsign * c)
+    out = {}
+    for i in range(L - 2 if variant == "alt" else L):
+        sign = (-1) ** i
+        for j in range(i + 1, L):
+            for k, c in algebra.bracket(word[i], word[j]).items():
+                nw = word[:i] + word[i + 1:j] + (k,) + word[j + 1:]
+                _add_term(out, nw, sign * c)
+    if variant == "loday":
         return out
-    if variant == "alt":
-        for i in range(L - 2):
-            for j in range(i + 1, L):
-                add_pair(i, j, (-1) ** i)
-        for k, c in algebra.symmetrized(word[L - 2], word[L - 1]).items():
-            _add_term(out, word[:L - 2] + (k,), tailsign * c)
-        return out
-    raise InputError(f"unknown boundary variant {variant!r}")
+    tail = (algebra.bracket(word[L - 1], word[L - 2]) if variant == "main"
+            else algebra.symmetrized(word[L - 2], word[L - 1]))
+    for k, c in tail.items():
+        _add_term(out, word[:L - 2] + (k,), (-1) ** L * c)
+    return out
 
 
 def boundary_apply(algebra, terms):

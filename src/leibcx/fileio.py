@@ -145,8 +145,7 @@ def algebra_to_doc(algebra, basis=None):
     if basis:
         doc["basis"] = list(basis)
     brackets = []
-    for (i, j) in sorted(algebra._c):
-        comps = algebra.bracket(i, j)
+    for (i, j), comps in sorted(algebra.items()):
         brackets.append({
             "left": i,
             "right": j,

@@ -3,6 +3,7 @@ reads them."""
 
 from leibcx.complexes import boundary_matrix
 from leibcx.exactla import nullspace, transpose
+from leibcx.words import _extend, embedded_word, tensor_words
 
 
 def kernel2_basis(algebra):
@@ -12,3 +13,20 @@ def kernel2_basis(algebra):
     """
     cols = boundary_matrix(algebra, 2)
     return nullspace(transpose(cols, algebra.dim), len(cols))
+
+
+def projector_sweep(alphabet, max_length):
+    """The projector identity checked word by word over an alphabet.
+
+    Every word w over 1..alphabet of length n up to max_length must
+    satisfy _extend(eps{w}, eps) == n * eps{w}; returns the failing words.
+    The reference for projector_report, which checks one word of
+    distinct letters per length.
+    """
+    failures = []
+    for n in range(1, max_length + 1):
+        for w in tensor_words(alphabet, n):
+            e = embedded_word(w)
+            if _extend(e, embedded_word) != {tw: n * c for tw, c in e.items()}:
+                failures.append(w)
+    return failures

@@ -19,6 +19,7 @@ from leibcx.complexes import (DGLA, boundary_square_report, dgla_suite,
                               homology, intertwining_report, omega0)
 from leibcx.duality import recovery_report
 from leibcx.words import projector_report
+from support import projector_sweep
 
 VALID = catalog.VALID_NAMES
 
@@ -180,11 +181,14 @@ def test_criterion_10_double_recovers_bracket():
 
 
 def test_criterion_11_projector_identity():
-    rep = projector_report(max_alphabet=3, max_length=6)
-    verdict(11, rep["passed"],
+    rep = projector_report(max_length=6)
+    swept = projector_sweep(3, 6)
+    ok = rep["passed"] and not swept
+    verdict(11, ok,
             "re-bracketing the embedded word expands to length times "
-            "the embedding (alphabets to 3, lengths to 6)"
-            if rep["passed"] else "failures: %r" % rep["failures"])
+            "the embedding (distinct letters and every word over 3 "
+            "letters, lengths to 6)"
+            if ok else "failures: %r" % (rep["failures"] + swept))
 
 
 def test_criterion_12_invalid_input_is_refused(capsys):

@@ -17,7 +17,7 @@ from leibcx.complexes import (DGLA, boundary_matrix, boundary_square_report,
 from leibcx.errors import InputError
 from leibcx.exactla import SparseEchelon, rank
 from leibcx.fileio import parse_algebra_file
-from leibcx.words import _add_term, _extend, embedded_word
+from leibcx.words import _add_term, _combine, _extend, embedded_word
 from support import kernel2_basis
 
 FROZEN_DIMS = {
@@ -141,13 +141,28 @@ def test_boundary_degree3_shape():
 
 
 def test_boundary_variants_identical():
+    # main equals alt, and it is the loday pairs plus the tail
+    # (-1)^n [w_n, w_(n-1)]
     for name in ("L2", "N3", "sl2", "doubleL2"):
         A = catalog.get(name)
-        import itertools
         for n in (2, 3, 4):
             for w in itertools.product(range(1, A.dim + 1), repeat=n):
-                assert boundary_word_terms(A, w, "main") == \
-                    boundary_word_terms(A, w, "alt")
+                main = boundary_word_terms(A, w, "main")
+                assert main == boundary_word_terms(A, w, "alt")
+                tail = {w[:-2] + (k,): (-1) ** n * c
+                        for k, c in A.bracket(w[-1], w[-2]).items()}
+                assert main == _combine(
+                    boundary_word_terms(A, w, "loday"), tail), (name, w)
+
+
+def test_boundary_word_terms_refuses():
+    L2 = catalog.get("L2")
+    assert boundary_word_terms(L2, (1,), "loday") == {}
+    for variant in ("main", "alt"):
+        with pytest.raises(InputError, match="length >= 2"):
+            boundary_word_terms(L2, (1,), variant)
+    with pytest.raises(InputError, match="unknown boundary variant"):
+        boundary_word_terms(L2, (1, 2), "nope")
 
 
 def test_boundary_squares_zero():
