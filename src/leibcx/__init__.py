@@ -18,9 +18,9 @@ from .cochains import (Cochain, DualValuedCochain, anti_cyclic_basis,
                        from_implicit)
 from .complexes import (DGLA, boundary_apply, boundary_matrix,
                         boundary_word_terms, dgla_suite, free_lie_basis,
-                        homology, intertwining_report, ker2_invariance,
-                        ker2_invariance_reports, loday_apply, loday_matrix,
-                        omega0, superwitt_dim)
+                        grading, homology, intertwining_report,
+                        ker2_invariance, ker2_invariance_reports,
+                        loday_apply, loday_matrix, omega0, superwitt_dim)
 from .duality import (DualBracketSum, contract, dual_bracket_word,
                       recovery_report, rotation_sum, structure_tensors)
 from .errors import InputError

@@ -12,7 +12,9 @@ compared through their embeddings.
 
 Homology of the bracket-word complex is reported with a shift:
 HA_n = dim F^(n+1) - rank del_(n+1) - rank del_(n+2), so HA_0 equals the
-dimension of the quotient Lie algebra.
+dimension of the quotient Lie algebra.  Both boundaries keep the weight
+of a word under any grading of the algebra, so every rank is taken per
+weight block of the finest grading (grading()).
 
 The degree-shifted differential graded Lie algebra DR sits at the end:
 components are g/I in degree 0, the maximal Lie quotient by the
@@ -29,13 +31,15 @@ integral algebra stay int, and so does a residue modulo I whose
 reduction needed no division.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
 
 from .algebras import ideal_residue, require_leibniz
 from .errors import InputError
-from .exactla import SparseEchelon, _as_int_vector, _echelon, rank
+from .exactla import (SparseEchelon, _as_int_vector, _echelon, nullspace,
+                      rank)
 from .words import (_add_term, _combine, _extend, embedded_word,
                     super_commutator, tensor_words)
 
@@ -229,12 +233,47 @@ def _shifted_homology(dims, ranks):
             for n in range(len(dims) - 1)}
 
 
-def _ranks(dims, matrix):
-    # ranks of d_2..d_N, where dims covers degrees 1..N; each is bounded
-    # by d o d = 0, so they are taken in increasing degree
-    ranks = {}
-    for n in range(2, len(dims) + 1):
-        ranks[n] = rank(matrix(n), upper=dims[n - 1] - ranks.get(n - 1, 0))
+def grading(algebra):
+    """Integer letter weights of the finest grading of the algebra.
+
+    A grading gives each basis letter a weight w_a with w_k = w_a + w_b
+    wherever c_ab^k != 0, so the gradings are the nullspace of one row
+    e_k - e_a - e_b per nonzero structure constant.  Returns the weight
+    of letter a at index a - 1, as a tuple of ints with one entry per
+    nullspace basis vector (scaled to integers); every tuple is empty
+    when the zero grading is the only one.
+    """
+    rows = []
+    for (a, b), entry in algebra.items():
+        for k in entry:
+            row = {k - 1: 1}
+            _add_term(row, a - 1, -1)
+            _add_term(row, b - 1, -1)
+            rows.append(row)
+    basis = [_as_int_vector(v)[0] for v in nullspace(rows, algebra.dim)]
+    return [tuple(v.get(i, 0) for v in basis) for i in range(algebra.dim)]
+
+
+def _group(keys, items):
+    # items grouped by their keys, each group in input order
+    out = {}
+    for key, item in zip(keys, items):
+        out.setdefault(key, []).append(item)
+    return out
+
+
+def _ranks(sizes, blocks):
+    # ranks of d_2..d_N by weight block.  sizes[n] counts the source
+    # words of each weight at degree n (n = 1..N-1); blocks(n) maps each
+    # weight to the columns of d_n whose source words carry it.  The
+    # ranks are taken in increasing degree, since d o d = 0 bounds the
+    # block of d_n at weight w by sizes[n-1][w] - rank d_(n-1)^w
+    ranks, below = {}, {}
+    for n in range(2, len(sizes) + 2):
+        cur = {w: rank(cols, upper=sizes[n - 1].get(w, 0) - below.get(w, 0))
+               for w, cols in blocks(n).items()}
+        ranks[n] = sum(cur.values())
+        below = cur
     return ranks
 
 
@@ -245,36 +284,62 @@ def homology(algebra, max_degree=4, loday=False):
     of del_2..del_max_degree, and HA_0..HA_(max_degree-2); with loday,
     the same for the tensor complex.
 
-    The ranks are taken in increasing degree.  del o del = 0 puts the
-    image of del_n inside the kernel of del_(n-1), so rank del_n is at
-    most dim F^(n-1) - rank del_(n-1), and the same holds for del_L.
+    Every rank is split by the algebra's grading (grading()): del
+    replaces letters a, b by a k with c_ab^k != 0, so it keeps the total
+    weight of a word, and del_n and del_L are block-diagonal by the
+    weight of the source word.  Each block is ranked on its own, in
+    increasing degree.  del o del = 0 puts the image of the block of
+    del_n at weight w inside the kernel of the block of del_(n-1) at w,
+    so its rank is at most dim F^(n-1)_w - rank del_(n-1)^w; for del_L
+    the tensor words of weight w count in place of dim F^(n-1)_w.
     rank() takes this as its upper bound: a rank modulo a prime that
-    reaches it is exact.  Exact elimination runs only where it does not,
-    that is where the homology at F^(n-1) is nonzero (or the prime is
-    unlucky).  require_leibniz runs first, so both squares vanish.
+    reaches it is exact.  Exact elimination runs only on the blocks
+    where it does not, that is where the homology at F^(n-1) of that
+    weight is nonzero (or the prime is unlucky), and a block whose
+    weight has no word one degree down has bound 0 and pulls no column.
+    An algebra with only the zero grading keeps one block per degree.
+    require_leibniz runs first, so both squares vanish.
 
     F^N, N = max_degree, gets no basis: dim F^N is superwitt_dim, and
     del_N is ranked on the prefix candidates (a,) + b that the slice of
     F^N would insert (b a basis word of F^(N-1)), so they span F^N; their
-    columns are row_coords over F^(N-1), which keep the rank.  They are
-    built on demand, as rank() pulls them: once the rank meets its bound
-    the remaining candidates are never built.
+    columns are row_coords over F^(N-1), which keep the rank.  Each block
+    of them is built on demand, as rank() pulls it: once the rank of a
+    block meets its bound the remaining candidates of that weight are
+    never built.
     """
     require_leibniz(algebra)
     if max_degree < 2:
         raise InputError("--max-degree must be at least 2")
     m = algebra.dim
+    letters = grading(algebra)
+
+    def weight(word):
+        return tuple(map(sum, zip(*(letters[a - 1] for a in word))))
+
     dims = {n: free_lie_basis(m, n).dim for n in range(1, max_degree)}
     dims[max_degree] = superwitt_dim(m, max_degree)
+    weights = {n: [weight(w) for w in free_lie_basis(m, n).words]
+               for n in range(1, max_degree)}
     dst = free_lie_basis(m, max_degree - 1)
-    top = (dst.row_coords(boundary_word_terms(algebra, (a,) + b))
-           for a in range(1, m + 1) for b in dst.words)
-    ranks = _ranks(dims, lambda n: top if n == max_degree
-                   else boundary_matrix(algebra, n))
+    cands = [(a,) + b for a in range(1, m + 1) for b in dst.words]
+    top = _group(map(weight, cands), cands)
+
+    def blocks(n):
+        if n < max_degree:
+            return _group(weights[n], boundary_matrix(algebra, n))
+        return {w: (dst.row_coords(boundary_word_terms(algebra, v))
+                    for v in block) for w, block in top.items()}
+
+    ranks = _ranks({n: Counter(ws) for n, ws in weights.items()}, blocks)
     out = {"dims": dims, "ranks": ranks, "HA": _shifted_homology(dims, ranks)}
     if loday:
         tdims = {n: m ** n for n in range(1, max_degree + 1)}
-        tranks = _ranks(tdims, lambda n: loday_matrix(algebra, n))
+        tweights = {n: [weight(w) for w in tensor_words(m, n)]
+                    for n in range(1, max_degree + 1)}
+        tranks = _ranks(
+            {n: Counter(tweights[n]) for n in range(1, max_degree)},
+            lambda n: _group(tweights[n], loday_matrix(algebra, n)))
         out["tensor_dims"] = tdims
         out["tensor_ranks"] = tranks
         out["HL"] = _shifted_homology(tdims, tranks)

@@ -1,6 +1,8 @@
 """References the tests compare the package against; the package never
 reads them."""
 
+from math import factorial
+
 from leibcx.complexes import boundary_matrix
 from leibcx.exactla import nullspace, transpose
 from leibcx.words import _extend, embedded_word, tensor_words
@@ -30,3 +32,27 @@ def projector_sweep(alphabet, max_length):
             if _extend(e, embedded_word) != {tw: n * c for tw, c in e.items()}:
                 failures.append(w)
     return failures
+
+
+def superwitt_multidegree_dim(alpha):
+    """dim F_alpha, the bracket words of letter multidegree alpha.
+
+    alpha[i] counts letter i + 1.  The multigraded super-Witt identity,
+    for |alpha| = n,
+
+        sum over d | gcd(alpha) of (-1)^(n/d) (n/d) dim F_(alpha/d)
+            = (-1)^n n! / prod alpha_i!,
+
+    is solved for its d = 1 term (Witt 1937 in its super form;
+    Petrogradsky 2000; Reutenauer, Free Lie Algebras, ch. 4).  The
+    reference for the multidegree counts of free_lie_basis, whose sums
+    are the dimensions of the weight blocks homology ranks.
+    """
+    n = sum(alpha)
+    rhs = factorial(n)
+    for a in alpha:
+        rhs //= factorial(a)
+    rest = sum((-1) ** (n // d) * (n // d)
+               * superwitt_multidegree_dim(tuple(a // d for a in alpha))
+               for d in range(2, n + 1) if all(a % d == 0 for a in alpha))
+    return ((-1) ** n * rhs - rest) // ((-1) ** n * n)

@@ -3,6 +3,7 @@
 import itertools
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,9 @@ from leibcx.complexes import (DGLA, boundary_matrix, boundary_square_report,
 from leibcx.errors import InputError
 from leibcx.exactla import SparseEchelon, rank
 from leibcx.fileio import parse_algebra_file
-from leibcx.words import _add_term, _combine, _extend, embedded_word
-from support import kernel2_basis
+from leibcx.words import (_add_term, _combine, _extend, embedded_word,
+                          tensor_words)
+from support import kernel2_basis, superwitt_multidegree_dim
 
 FROZEN_DIMS = {
     1: [1, 1, 0, 0, 0],
@@ -237,9 +239,8 @@ def test_certified_ranks_match_exact_elimination():
                 n: rank(loday_matrix(A, n)) for n in degrees}, A.name
 
 
-def test_certified_ranks_skip_exact_elimination(monkeypatch):
-    # on the sl2 conjugate only del_2 and del_3 (6 and 8 columns) sit
-    # next to nonzero homology; every other rank is certified mod p
+def _count_exact_rows(monkeypatch):
+    # the number of rows of each exact elimination, as they run
     sizes = []
     echelon = exactla._echelon
 
@@ -248,19 +249,150 @@ def test_certified_ranks_skip_exact_elimination(monkeypatch):
         return echelon(rows)
 
     monkeypatch.setattr(exactla, "_echelon", counting)
-    rep = homology(parse_algebra_file(SL2_CONJ0), max_degree=7)
+    return sizes
+
+
+def test_certified_ranks_skip_exact_elimination(monkeypatch):
+    # the sl2 conjugate has only the zero grading, so every degree is
+    # one block.  The grading's nullspace eliminates its 18 constraint
+    # rows, one per nonzero structure constant; then only del_2 and
+    # del_3 (6 and 8 columns) sit next to nonzero homology, and every
+    # other rank is certified mod p
+    A = parse_algebra_file(SL2_CONJ0)
+    sizes = _count_exact_rows(monkeypatch)
+    rep = homology(A, max_degree=7)
     assert rep["ranks"] == {2: 0, 3: 5, 4: 3, 5: 15, 6: 33, 7: 91}
-    assert sizes == [6, 8]
+    assert sum(len(entry) for _, entry in A.items()) == 18
+    assert sizes == [18, 6, 8]
 
 
-def _halved(A):
-    # the bracket times 1/2: isomorphic to A (by x -> 2x), with Fraction
-    # structure constants
+def test_blocked_ranks_bound_exact_elimination(monkeypatch):
+    # doubleL2 has homology in every degree, so unblocked every rank
+    # fell back to exact elimination, 6,566 rows in all; by weight only
+    # the blocks that carry homology do
+    sizes = _count_exact_rows(monkeypatch)
+    rep = homology(catalog.get("doubleL2"), max_degree=6, loday=True)
+    assert rep["HA"] == {0: 2, 1: 3, 2: 2, 3: 3, 4: 6}
+    assert sum(sizes) <= 500
+
+
+GRADING_RANKS = {"abelian1": 1, "abelian2": 2, "abelian3": 3, "abelian4": 4,
+                 "L2": 1, "N3": 1, "sl2": 1, "heis3": 2, "doubleL2": 2,
+                 "B1": 0}
+
+
+def _constraint_rows(algebra):
+    # one row e_k - e_a - e_b per nonzero structure constant c_ab^k
+    rows = []
+    for (a, b), entry in algebra.items():
+        for k in entry:
+            row = {k: 1}
+            _add_term(row, a, -1)
+            _add_term(row, b, -1)
+            rows.append(row)
+    return rows
+
+
+def test_grading_is_the_nullspace_of_the_constraints():
+    # every weight is an integer tuple, additive on every nonzero
+    # constant, and the weights span all gradings: their rank is the
+    # nullity of the constraint rows
+    cases = [(parse_algebra_file(SL2_CONJ0), 0)]
+    for name, r in GRADING_RANKS.items():
+        cases += [(catalog.get(name), r), (_halved(catalog.get(name)), r)]
+    for A, r in cases:
+        weights = complexes.grading(A)
+        assert len(weights) == A.dim, A.name
+        assert all(len(w) == r and all(type(x) is int for x in w)
+                   for w in weights), (A.name, weights)
+        for (a, b), entry in A.items():
+            for k in entry:
+                assert weights[k - 1] == tuple(
+                    x + y for x, y in zip(weights[a - 1], weights[b - 1])
+                ), (A.name, a, b, k)
+        assert r == A.dim - rank(_constraint_rows(A)), A.name
+        assert rank([{i: w[j] for i, w in enumerate(weights) if w[j]}
+                     for j in range(r)]) == r, A.name
+    assert complexes.grading(catalog.get("sl2")) == [(0,), (-1,), (1,)]
+
+
+def _inhomogeneous_columns(A, N):
+    # (complex, degree, source word) of every column, of del_2..del_N,
+    # of the degree-N prefix candidates and of del_L up to N, that has
+    # a row at a word of another weight than its source word's, with
+    # the weights read from complexes.grading
+    letters = complexes.grading(A)
+
+    def weight(word):
+        return tuple(map(sum, zip(*(letters[a - 1] for a in word))))
+
+    def check(label, n, sources, columns, rows):
+        for w, col in zip(sources, columns):
+            if any(weight(rows[i]) != weight(w) for i in col):
+                bad.append((label, n, w))
+
     m = A.dim
-    return LeibnizAlgebra(m, {
-        (i, j): {k: Fraction(c) / 2 for k, c in A.bracket(i, j).items()}
-        for i in range(1, m + 1) for j in range(1, m + 1)},
-        name=f"{A.name}_halved")
+    bad = []
+    for n in range(2, N + 1):
+        rows = free_lie_basis(m, n - 1).words
+        check("del", n, free_lie_basis(m, n).words, boundary_matrix(A, n),
+              rows)
+        check("del_L", n, tensor_words(m, n), loday_matrix(A, n),
+              tensor_words(m, n - 1))
+    dst = free_lie_basis(m, N - 1)
+    top = [(a,) + b for a in range(1, m + 1) for b in dst.words]
+    check("top", N, top,
+          [dst.row_coords(boundary_word_terms(A, w)) for w in top], dst.words)
+    return bad
+
+
+def test_boundary_blocks_are_homogeneous():
+    # each column of every rank homology splits by weight has all its
+    # rows at words of its block's weight
+    for name in catalog.VALID_NAMES:
+        for A in (catalog.get(name), _halved(catalog.get(name))):
+            assert not _inhomogeneous_columns(A, 6), A.name
+
+
+def test_homogeneity_check_fails_on_a_wrong_grading(monkeypatch):
+    # h weighs 1 instead of 0 in sl2: [h, e] = 2e no longer keeps weight
+    sl2 = catalog.get("sl2")
+    monkeypatch.setattr(complexes, "grading",
+                        lambda A: [(1,), (-1,), (1,)])
+    bad = _inhomogeneous_columns(sl2, 4)
+    assert ("del", 3, (1, 1, 2)) in bad and ("del_L", 2, (1, 2)) in bad
+    assert ("top", 4, (1, 2, 1, 3)) in bad
+    assert homology(sl2, max_degree=6)["ranks"] != {
+        n: rank(boundary_matrix(sl2, n)) for n in range(2, 7)}
+
+
+@pytest.mark.parametrize("m, top, count", [(2, 9, 54), (3, 7, 119),
+                                           (4, 6, 209)])
+def test_slice_multidegrees_match_the_multigraded_superwitt_formula(
+        m, top, count):
+    # the basis words of F^n counted by letter multidegree: block
+    # dimensions are sums of these counts
+    checked = 0
+    for n in range(1, top + 1):
+        counts = Counter(tuple(w.count(a) for a in range(1, m + 1))
+                         for w in free_lie_basis(m, n).words)
+        alphas = [alpha for alpha in itertools.product(range(n + 1), repeat=m)
+                  if sum(alpha) == n]
+        assert set(counts) <= set(alphas), (m, n)
+        for alpha in alphas:
+            assert counts[alpha] == superwitt_multidegree_dim(alpha), alpha
+        checked += len(alphas)
+    assert checked == count
+
+
+def _halved(algebra):
+    # every structure constant halved: isomorphic to the algebra (by
+    # x -> 2x), still Leibniz, now Fraction-valued
+    return LeibnizAlgebra(
+        algebra.dim,
+        {ij: {k: Fraction(c) / 2 for k, c in entry.items()}
+         for ij, entry in algebra.items()},
+        name=f"{algebra.name}_half")
 
 
 def test_top_rank_on_the_spanning_candidates_matches_exact_elimination():
@@ -294,10 +426,13 @@ def test_homology_builds_no_top_degree_slice(monkeypatch):
 
 
 def test_homology_builds_top_columns_only_up_to_the_bound(monkeypatch):
-    # del_N is ranked on m * dim F^(N-1) prefix candidates, built as the
-    # rank pulls them.  sl2 has no homology at F^6, so rank del_7 meets
-    # its bound 91 after 238 of the 372; doubleL2 has homology at F^4,
-    # the bound is never met, and every candidate is built
+    # del_N is ranked on m * dim F^(N-1) prefix candidates, one weight
+    # block at a time, each built as the rank pulls it.  sl2 has no
+    # homology at F^6, so every block of del_7 meets its bound, after
+    # 144 of the 372 candidates in all.  doubleL2 has homology at F^4,
+    # but only in some weights: the other blocks of del_5 meet their
+    # bounds, or have bound 0 and build nothing, so 54 of its 240 are
+    # built
     calls = []
     row_coords = complexes.LieBasisSlice.row_coords
 
@@ -308,11 +443,11 @@ def test_homology_builds_top_columns_only_up_to_the_bound(monkeypatch):
     monkeypatch.setattr(complexes.LieBasisSlice, "row_coords", counting)
     rep = homology(catalog.get("sl2"), max_degree=7)
     assert rep["ranks"][7] == rep["dims"][6] - rep["ranks"][6] == 91
-    assert calls == [6] * 238 and 238 < 3 * free_lie_basis(3, 6).dim == 372
+    assert calls == [6] * 144 and 144 < 3 * free_lie_basis(3, 6).dim == 372
     calls.clear()
     rep = homology(catalog.get("doubleL2"), max_degree=5)
     assert rep["ranks"][5] == 44 < rep["dims"][4] - rep["ranks"][4] == 47
-    assert calls == [4] * 240 and 4 * free_lie_basis(4, 4).dim == 240
+    assert calls == [4] * 54 and 54 < 4 * free_lie_basis(4, 4).dim == 240
 
 
 @pytest.mark.parametrize("m, n", [(2, 7), (3, 5), (4, 4)])
@@ -498,15 +633,6 @@ def test_dgla_suite_leaves_the_embedding_cache_unchanged():
     for w, terms in before.items():
         assert words._EMBED_CACHE[w] == terms, w
     assert all(v["passed"] for v in checks.values()), checks
-
-
-def _halved(algebra):
-    # every structure constant halved: still Leibniz, now Fraction-valued
-    return LeibnizAlgebra(
-        algebra.dim,
-        {ij: {k: Fraction(c) / 2 for k, c in entry.items()}
-         for ij, entry in algebra.items()},
-        name=f"{algebra.name}_half")
 
 
 def _rref_residue(algebra, vec):
