@@ -220,6 +220,19 @@ def test_homology_loday_frozen():
     assert rep["HL"] == {0: 2, 1: 5, 2: 10, 3: 22}
 
 
+def test_abelian_homology_oracle():
+    # with every bracket zero both boundaries vanish, so HA_n is the
+    # super-Witt dimension of F^(n+1) and HL_n counts the m^(n+1) tensor
+    # words, past the degrees of the frozen tables
+    for m, N in ((1, 9), (2, 8), (3, 7), (4, 7)):
+        rep = homology(catalog.get(f"abelian{m}"), max_degree=N, loday=True)
+        assert set(rep["ranks"].values()) == {0}, m
+        assert set(rep["tensor_ranks"].values()) == {0}, m
+        assert rep["HA"] == {n: superwitt_dim(m, n + 1)
+                             for n in range(N - 1)}, m
+        assert rep["HL"] == {n: m ** (n + 1) for n in range(N - 1)}, m
+
+
 SL2_CONJ0 = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          "data", "sl2_conj0.json")
 
@@ -577,6 +590,20 @@ def test_dgla_derived_bracket_values():
     # (D x1, x1) = {[e1, e1]} = {e2}
     res = dg.bracket(d, x1)
     assert res.parts == {1: {(2,): 1}}
+
+
+def test_dgla_mixed_element_prints_by_degree():
+    # terms print grouped by word degree, ascending, and sorted within a
+    # degree, whatever order the element was built in
+    dg = DGLA(catalog.get("L2"), max_degree=3)
+    x1, x2 = dg.word_element((1,)), dg.word_element((2,))
+    d = dg.differential(x1)
+    el = (dg.word_element((2, 1, 1)) + d + x2 + dg.word_element((1, 2))
+          + 3 * x1)
+    assert repr(el) == ("DR(gl{1: 1} + F1(3*1 + 1*2) + F2(1*12 + 1*21)"
+                        " + F3(-2*112 + 2*211))")
+    assert repr(dg.bracket(d, el)) == \
+        "DR(F1(3*2) + F2(2*22) + F3(-2*122 + 2*221))"
 
 
 def test_dgla_action_drops_ideal():
