@@ -23,10 +23,11 @@ quotient bracket, its action on words, and the free graded commutator,
 and the differential is del plus the class-of-a-letter augmentation.
 Degree 0 is held in g coordinates, each class as its residue modulo I
 (the representative that vanishes at the pivots of the ideal's RREF),
-so the quotient needs no coordinates of its own.  Word parts are kept
-as their tensor embeddings: the free bracket is the super-commutator
-there, and del is applied as del_L, which equals it on embeddings by the
-intertwining.  Coefficients are ints or Fractions: the word parts of an
+so the quotient needs no coordinates of its own.  The words of every
+degree are kept in one dict of tensor embeddings, a word's length being
+its degree: the free bracket is the termwise super-commutator there, and
+del is applied as del_L, which equals it on embeddings by the
+intertwining.  Coefficients are ints or Fractions: the word terms of an
 integral algebra stay int, and so does a residue modulo I whose
 reduction needed no division.
 """
@@ -34,7 +35,7 @@ reduction needed no division.
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, product
+from itertools import groupby, islice, product
 
 from .algebras import ideal_residue, require_leibniz
 from .errors import InputError
@@ -422,53 +423,50 @@ def ker2_invariance_reports(algebra, subalgebras):
 
 
 class DRElement:
-    """Element of the graded algebra: degree-0 part + word parts by degree.
+    """Element of the graded algebra: a degree-0 part and one term dict.
 
     gl is the degree-0 part, an element of g/I (I the symmetric ideal)
     held in g coordinates {i: coeff} as its residue modulo I, the
     representative that vanishes at the pivots of the ideal's RREF.
-    parts maps a word degree n to the tensor embedding {tensor word:
-    coeff} of an element of F^n.  The embedding is injective on F^n, so
-    equal embeddings are equal elements.  Coefficients are ints or
-    Fractions and never zero.  The dicts given are kept as they are, and
-    only empty parts are dropped; they are shared, with the embedding
-    cache among others, so nothing mutates them afterwards.
+    terms {tensor word: coeff} holds the words of every degree: those of
+    length n are the embedding of the part in F^n, which is injective,
+    so equal dicts are equal elements.  Coefficients are ints or
+    Fractions and never zero.  The dicts given are kept as they are and
+    shared, with the embedding cache among others, so nothing mutates
+    them.  repr lists the words by degree, sorted within a degree.
     """
 
-    __slots__ = ("gl", "parts")
+    __slots__ = ("gl", "terms")
 
-    def __init__(self, gl=None, parts=None):
+    def __init__(self, gl=None, terms=None):
         self.gl = gl or {}
-        self.parts = {n: terms for n, terms in (parts or {}).items() if terms}
+        self.terms = terms or {}
 
     def is_zero(self):
-        return not self.gl and not self.parts
+        return not self.gl and not self.terms
 
     def __eq__(self, other):
         return (isinstance(other, DRElement) and self.gl == other.gl
-                and self.parts == other.parts)
+                and self.terms == other.terms)
 
     def __add__(self, other):
-        gl = _combine(self.gl, other.gl)
-        parts = dict(self.parts)
-        for n, terms in other.parts.items():
-            parts[n] = _combine(parts.get(n, {}), terms)
-        return DRElement(gl, parts)
+        return DRElement(_combine(self.gl, other.gl),
+                         _combine(self.terms, other.terms))
 
     def __rmul__(self, scalar):
         if not scalar:
             return DRElement()
         return DRElement({i: scalar * c for i, c in self.gl.items()},
-                         {n: {w: scalar * c for w, c in terms.items()}
-                          for n, terms in self.parts.items()})
+                         {w: scalar * c for w, c in self.terms.items()})
 
     def __repr__(self):
         bits = []
         if self.gl:
             bits.append(f"gl{self.gl}")
-        for n in sorted(self.parts):
-            terms = " + ".join(f"{c}*{''.join(map(str, w))}"
-                               for w, c in sorted(self.parts[n].items()))
+        words = sorted(self.terms, key=lambda w: (len(w), w))
+        for n, group in groupby(words, key=len):
+            terms = " + ".join(f"{self.terms[w]}*{''.join(map(str, w))}"
+                               for w in group)
             bits.append(f"F{n}({terms})")
         return "DR(" + (" + ".join(bits) if bits else "0") + ")"
 
@@ -482,13 +480,14 @@ class DGLA:
     any identity below the cutoff).  Degree 0 stays in g coordinates:
     project is the residue map modulo I, so the quotient bracket is the
     residue of the bracket of g and its basis is the basis vectors at
-    the non-pivot coordinates kept of the ideal's RREF.  Word parts are
-    kept as tensor embeddings, so no operation solves for basis
-    coordinates: the free bracket is the super-commutator, the action
-    substitutes letters in tensor words, and the differential is del_L,
-    which the embedding intertwines with del.  Coefficients are ints or
-    Fractions: an integral algebra's word parts stay int, and so does a
-    residue modulo I whose reduction needed no division.
+    the non-pivot coordinates kept of the ideal's RREF.  The words of
+    every degree share one dict of tensor embeddings, so no operation
+    solves for basis coordinates: the free bracket is the termwise
+    super-commutator, the action substitutes letters in tensor words and
+    keeps their length, and the differential is del_L, which the
+    embedding intertwines with del.  Coefficients are ints or Fractions:
+    an integral algebra's word terms stay int, and so does a residue
+    modulo I whose reduction needed no division.
     """
 
     def __init__(self, algebra, max_degree=4):
@@ -508,10 +507,9 @@ class DGLA:
         return dims
 
     def word_element(self, word):
-        n = len(word)
-        if n not in self.slices:
-            raise InputError(f"no component at word degree {n}")
-        return DRElement(parts={n: embedded_word(word)})
+        if len(word) not in self.slices:
+            raise InputError(f"no component at word degree {len(word)}")
+        return DRElement(terms=embedded_word(word))
 
     def basis(self):
         """(parity, element) for every component basis vector."""
@@ -522,7 +520,7 @@ class DGLA:
         return out
 
     def act(self, g_vec, terms):
-        """Action of x in g on an embedded word part, letter by letter.
+        """Action of x in g on embedded word terms, letter by letter.
 
         The embedding is linear in each letter slot, so acting on every
         letter of the tensor words is the embedding of the action on
@@ -541,35 +539,18 @@ class DGLA:
     def bracket(self, a, b):
         gl = (self.project(self.algebra.bracket_vectors(a.gl, b.gl))
               if a.gl and b.gl else {})
-        parts = {}
-
-        def add(n, terms):
-            # terms is a fresh dict, so the first one is kept as it is
-            if n in parts:
-                for w, c in terms.items():
-                    _add_term(parts[n], w, c)
-            else:
-                parts[n] = terms
-
+        terms = {w: c for w, c in super_commutator(a.terms, b.terms).items()
+                 if len(w) <= self.N}
         if a.gl:
-            for n, terms in b.parts.items():
-                add(n, self.act(a.gl, terms))
+            terms = _combine(terms, self.act(a.gl, b.terms))
         if b.gl:
-            minus_b = {i: -c for i, c in b.gl.items()}
-            for n, terms in a.parts.items():
-                add(n, self.act(minus_b, terms))
-        for p, ta in a.parts.items():
-            for q, tb in b.parts.items():
-                if p + q <= self.N:
-                    add(p + q, super_commutator(ta, tb))
-        return DRElement(gl, parts)
+            terms = _combine(terms, self.act(b.gl, a.terms), -1)
+        return DRElement(gl, terms)
 
     def differential(self, a):
-        one = a.parts.get(1)
-        gl = self.project({w[0]: c for w, c in one.items()}) if one else {}
-        parts = {n - 1: loday_apply(self.algebra, terms)
-                 for n, terms in a.parts.items() if n >= 2}
-        return DRElement(gl, parts)
+        letters = {w[0]: c for w, c in a.terms.items() if len(w) == 1}
+        gl = self.project(letters) if letters else {}
+        return DRElement(gl, loday_apply(self.algebra, a.terms))
 
 
 def _outcome(failures):
@@ -610,7 +591,7 @@ def dgla_suite(dg):
 
     def letters(vec):
         # degree -1 element of a g coordinate vector {k: c}
-        return DRElement(parts={1: {(k,): c for k, c in vec.items()}})
+        return DRElement(terms={(k,): c for k, c in vec.items()})
 
     def antisymmetry():
         for (i, j), ab in prod.items():

@@ -25,8 +25,6 @@ the embedding and the echelon-based basis extraction in complexes.py work.
 
 import itertools
 
-from .errors import InputError
-
 
 def _add_term(d, w, c):
     v = d.get(w, 0) + c
@@ -81,21 +79,20 @@ def embedded_word(word):
 
 
 def super_commutator(a, b):
-    """Graded commutator a(x)b - (-1)^(pq) b(x)a of homogeneous term dicts.
+    """Graded commutator a(x)b - (-1)^(pq) b(x)a, extended termwise.
 
-    Parity of a word is its length mod 2 (every generator is odd).
+    p and q are the lengths of the two words of each pair of terms: the
+    parity of a word is its length mod 2 (every generator is odd).  A
+    dict that mixes lengths gives the sum of the commutators of its
+    homogeneous pieces.
     """
-    if not a or not b:
-        return {}
-    p, q = {len(w) for w in a}, {len(w) for w in b}
-    if len(p) != 1 or len(q) != 1:
-        raise InputError("super_commutator needs length-homogeneous inputs")
-    sign = -((-1) ** (p.pop() * q.pop()))
     out = {}
     for w1, c1 in a.items():
+        odd = len(w1) % 2
         for w2, c2 in b.items():
-            _add_term(out, w1 + w2, c1 * c2)
-            _add_term(out, w2 + w1, sign * c1 * c2)
+            c = c1 * c2
+            _add_term(out, w1 + w2, c)
+            _add_term(out, w2 + w1, c if odd and len(w2) % 2 else -c)
     return out
 
 

@@ -19,7 +19,7 @@ from leibcx.errors import InputError
 from leibcx.exactla import SparseEchelon, rank
 from leibcx.fileio import parse_algebra_file
 from leibcx.words import (_add_term, _combine, _extend, embedded_word,
-                          tensor_words)
+                          super_commutator, tensor_words)
 from support import kernel2_basis, superwitt_multidegree_dim
 
 FROZEN_DIMS = {
@@ -589,7 +589,7 @@ def test_dgla_derived_bracket_values():
     assert d.gl == {1: 1}
     # (D x1, x1) = {[e1, e1]} = {e2}
     res = dg.bracket(d, x1)
-    assert res.parts == {1: {(2,): 1}}
+    assert res.terms == {(2,): 1}
 
 
 def test_dgla_mixed_element_prints_by_degree():
@@ -625,7 +625,7 @@ def test_dgla_differential_matches_boundary_matrix():
         for n in range(2, 6):
             cols = boundary_matrix(A, n)
             for p, w in enumerate(dg.slices[n].words):
-                got = dg.differential(dg.word_element(w)).parts.get(n - 1, {})
+                got = dg.differential(dg.word_element(w)).terms
                 want = _extend(dg.slices[n - 1].element(cols[p]),
                                embedded_word)
                 assert got == want, (name, w)
@@ -641,8 +641,26 @@ def test_dgla_free_bracket_stays_in_word_span():
             for q, b in words:
                 if p + q > 4:
                     continue
-                part = dg.bracket(a, b).parts.get(p + q, {})
+                part = dg.bracket(a, b).terms
                 assert dg.slices[p + q].echelon.contains(part), (name, a, b)
+
+
+def test_dgla_bracket_truncates_past_the_cutoff():
+    # the battery brackets only within the cutoff: there the bracket of
+    # two word elements is their free graded commutator, past it zero
+    for name in ("L2", "sl2", "doubleL2"):
+        dg = DGLA(catalog.get(name), max_degree=3)
+        elems = [(p, a) for p, a in dg.basis() if p]
+        for p, a in elems:
+            for q, b in elems:
+                ab = dg.bracket(a, b)
+                if p + q <= 3:
+                    assert ab.terms == super_commutator(a.terms, b.terms)
+                else:
+                    assert not ab.terms and not ab.gl, (name, a, b)
+    dg = DGLA(catalog.get("L2"), max_degree=3)
+    ab = dg.bracket(dg.word_element((1, 2)), dg.word_element((2, 1)))
+    assert repr(ab) == "DR(0)"
 
 
 def test_dgla_suite_small():
@@ -708,7 +726,7 @@ def test_dgla_residues_match_the_quotient_algebra():
 
 
 def test_dgla_integral_algebras_keep_int_word_parts():
-    # the word parts of brackets and differentials of basis elements of
+    # the word terms of brackets and differentials of basis elements of
     # an integral algebra never leave int arithmetic
     for name in catalog.VALID_NAMES:
         dg = DGLA(catalog.get(name), max_degree=3)
@@ -721,8 +739,7 @@ def test_dgla_integral_algebras_keep_int_word_parts():
         elements += [dg.bracket(dg.differential(a), b) for a in letters
                      for _, b in basis]
         for el in elements:
-            for terms in el.parts.values():
-                assert all(type(c) is int for c in terms.values()), (name, el)
+            assert all(type(c) is int for c in el.terms.values()), (name, el)
 
 
 def test_dgla_suite_passes_on_rational_constants():

@@ -60,13 +60,12 @@ class DroppedTerm(DGLA):
 
     def differential(self, a):
         out = super().differential(a)
-        two = out.parts.get(2)
+        two = [w for w in out.terms if len(w) == 2]
         if not two:
             return out
         least = min(two)
-        parts = dict(out.parts)
-        parts[2] = {w: c for w, c in two.items() if w != least}
-        return DRElement(out.gl, parts)
+        return DRElement(out.gl,
+                         {w: c for w, c in out.terms.items() if w != least})
 
 
 class Unprojected(DGLA):
@@ -74,10 +73,10 @@ class Unprojected(DGLA):
 
     def differential(self, a):
         out = super().differential(a)
-        one = a.parts.get(1)
+        one = {w[0]: c for w, c in a.terms.items() if len(w) == 1}
         if not one:
             return out
-        return DRElement({w[0]: c for w, c in one.items()}, out.parts)
+        return DRElement(one, out.terms)
 
 
 SABOTEURS = (OneSidedStray, SymmetricStray, DroppedTerm, Unprojected)

@@ -2,13 +2,10 @@
 
 import json
 
-import pytest
-
 import support
 from leibcx import words
 from leibcx.cli import main as cli_main
-from leibcx.errors import InputError
-from leibcx.words import (_extend, embedded_word, projector_report,
+from leibcx.words import (_combine, _extend, embedded_word, projector_report,
                           super_commutator, tensor_words)
 from support import projector_sweep
 
@@ -57,8 +54,16 @@ def test_super_commutator_parities():
     # even-odd: commutator
     assert super_commutator(xy, x) == {(1, 2, 1): 1, (1, 1, 2): -1}
     assert super_commutator(x, {}) == {}
-    with pytest.raises(InputError):
-        super_commutator({(1,): 1, (1, 2): 1}, y)
+    # termwise: a dict mixing lengths gives the sum of the commutators of
+    # its homogeneous pieces
+    mixed = {(1,): 1, (1, 2): 1}
+    assert super_commutator(mixed, y) == {
+        (1, 2): 1, (2, 1): 1, (1, 2, 2): 1, (2, 1, 2): -1}
+    assert super_commutator(y, mixed) == {
+        (2, 1): 1, (1, 2): 1, (2, 1, 2): 1, (1, 2, 2): -1}
+    assert super_commutator(mixed, _combine(y, xy)) == _combine(
+        _combine(super_commutator(x, y), super_commutator(x, xy)),
+        _combine(super_commutator(xy, y), super_commutator(xy, xy)))
 
 
 def test_super_commutator_matches_embedding():
