@@ -6,7 +6,9 @@ exit code with the files under tests/golden/.  Every command runs with
 ``--format text``, so the text printer has a byte check too.  One more
 file, under golden/dense/, holds homology of a dense change of basis of
 sl2 (tests/data/sl2_conj0.json) to degree 7, ranked by exact elimination
-alone.
+alone.  The files under golden/loday/ hold ``homology --loday`` past the
+degree 4 of the per-entry cases, one degree per entry, named
+NAME_max-degree_N.
 Refactors of the internals must leave every case unchanged.
 
 Record the files again (only when an output change is intended) with
@@ -87,6 +89,22 @@ def test_golden_output(key, argv):
     assert text == want, key
 
 
+# (entry, degree) of the deeper homology --loday cases
+LODAY = (("doubleL2", 6), ("sl2", 7), ("heis3", 6), ("N3", 7), ("L2", 9))
+LODAY_CASES = [(f"loday/{name}_max-degree_{n}",
+                ["homology", f"catalog:{name}", "--max-degree", str(n),
+                 "--loday", "--format", "json"]) for name, n in LODAY]
+
+
+@pytest.mark.parametrize("key,argv", LODAY_CASES,
+                         ids=[key for key, _ in LODAY_CASES])
+def test_deeper_loday_output(key, argv):
+    with open(os.path.join(GOLDEN, key + ".out"), encoding="utf-8",
+              newline="") as fh:
+        want = fh.read()
+    assert _run(argv) == (want, 0), key
+
+
 def test_dense_change_of_basis_matches_catalog():
     # sl2 in a +-5 L U basis (perfbench/bench_gen.py, seed 6): dense,
     # large structure constants, the same homology as the catalog basis;
@@ -137,6 +155,13 @@ def record():
     with open(os.path.join(GOLDEN, DENSE_KEY + ".out"), "w",
               encoding="utf-8", newline="") as fh:
         fh.write(text)
+    for key, argv in LODAY_CASES:
+        text, code = _run(argv)
+        assert code == 0, key
+        os.makedirs(os.path.dirname(os.path.join(GOLDEN, key)), exist_ok=True)
+        with open(os.path.join(GOLDEN, key + ".out"), "w", encoding="utf-8",
+                  newline="") as fh:
+            fh.write(text)
     codes = {}
     for _, key, argv in CASES:
         text, code = _run(argv)
