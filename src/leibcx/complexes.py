@@ -58,6 +58,12 @@ class LieBasisSlice:
     too.  Echelon row k is the embedding of the k-th kept word, so
     coords() reads the echelon's coordinates as they are: it expresses
     any element of the span over the kept words, exactly.
+
+    Row k is zero at the pivots of the rows before it and nonzero at its
+    own, so the rows restricted to the pivot words are triangular, and
+    reading an element's embedding at the pivot words (pivot_values) is
+    injective on the span: it keeps the rank of any list of elements
+    with no elimination.
     """
 
     def __init__(self, m, degree):
@@ -74,27 +80,32 @@ class LieBasisSlice:
     def dim(self):
         return len(self.words)
 
-    def _solve(self, terms, solve):
+    def coords(self, terms):
+        """Coordinates of a bracket-word term dict {word: coeff}."""
         # coordinates are linear: solve for den * element, which has
         # integer coefficients, so its embedding sums no Fractions
         ints, den = _as_int_vector(terms)
-        out = solve(_extend(ints, embedded_word))
-        if out is None:
+        raw = self.echelon.coordinates(_extend(ints, embedded_word))
+        if raw is None:
             raise InputError(
                 f"element is outside the degree-{self.degree} span")
-        return out, den
-
-    def coords(self, terms):
-        """Coordinates of a bracket-word term dict {word: coeff}."""
-        raw, den = self._solve(terms, self.echelon.coordinates)
         return raw if den == 1 else {k: c / den for k, c in raw.items()}
 
-    def row_coords(self, terms):
-        """Integer coordinates of c * element over the echelon rows, c != 0.
+    def pivot_values(self, terms):
+        """{row k: int}: c * eps(element) at the pivot word of row k.
 
-        They have the rank of coords() and make no Fraction; InputError
-        outside the span."""
-        return self._solve(terms, self.echelon.row_multipliers)[0]
+        c > 0 clears the denominators, so no Fraction is made.  On the
+        span of the slice this is injective and linear up to that scale,
+        so a list of elements keeps its rank; outside the span it is
+        only a projection."""
+        pivots = self.echelon.pivots
+        out = {}
+        for w, c in _as_int_vector(terms)[0].items():
+            for t, k in embedded_word(w).items():
+                row = pivots.get(t)
+                if row is not None:
+                    _add_term(out, row, c * k)
+        return out
 
     def element(self, coords):
         """The bracket-word term dict with the given coordinates."""
@@ -174,14 +185,41 @@ def loday_apply(algebra, terms):
 
 
 def loday_matrix(algebra, n):
-    """Matrix of del_L: T^n -> T^(n-1) as sparse columns over lex words."""
+    """Matrix of del_L: T^n -> T^(n-1) as sparse columns over lex words.
+
+    Column i is {row: coeff}, del_L of the i-th tensor word in lex order,
+    with rows indexing the words of length n-1 the same way.  Built up
+    from degree 1, where del_L is zero, by
+
+        del_L(a (x) u) = a.u - a (x) del_L(u),
+
+    a.u the sum over the positions j of u of u with u_j replaced by
+    [a, u_j]: the pairs that bracket the first letter, and the rest.  On
+    lex indices (a,) + u sits at (a - 1) m^(d-1) + idx(u) in degree d,
+    and replacing u_j by k moves idx(u) by (k - u_j) m^(d-2-j).
+    loday_apply keeps the direct pairwise formula.
+    """
     if n < 2:
         raise InputError("tensor boundary matrices start at degree 2")
     m = algebra.dim
-    dst = {w: i for i, w in enumerate(tensor_words(m, n - 1))}
-    return [{dst[nw]: c for nw, c in
-             boundary_word_terms(algebra, w, "loday").items()}
-            for w in tensor_words(m, n)]
+    letters = range(1, m + 1)
+    cols = [{} for _ in letters]
+    for d in range(2, n + 1):
+        place = [m ** (d - 2 - j) for j in range(d - 1)]
+        shift = m ** (d - 2)
+        tails = tensor_words(m, d - 1)
+        new = []
+        for a in letters:
+            base = (a - 1) * shift
+            acts = [algebra.bracket(a, b) for b in letters]
+            for i, (u, low) in enumerate(zip(tails, cols)):
+                col = {base + r: -c for r, c in low.items()}
+                for b, p in zip(u, place):
+                    for k, c in acts[b - 1].items():
+                        _add_term(col, i + (k - b) * p, c)
+                new.append(col)
+        cols = new
+    return cols
 
 
 def boundary_square_report(algebra, max_degree=5):
@@ -303,11 +341,15 @@ def homology(algebra, max_degree=4, loday=False):
 
     F^N, N = max_degree, gets no basis: dim F^N is superwitt_dim, and
     del_N is ranked on the prefix candidates (a,) + b that the slice of
-    F^N would insert (b a basis word of F^(N-1)), so they span F^N; their
-    columns are row_coords over F^(N-1), which keep the rank.  Each block
+    F^N would insert (b a basis word of F^(N-1)), so they span F^N.  del
+    of a candidate is a combination of length-(N-1) bracket words, which
+    the slice of F^(N-1) spans, and its column is the pivot_values read-
+    out there, which keeps the rank with no coordinate solve.  Each block
     of them is built on demand, as rank() pulls it: once the rank of a
     block meets its bound the remaining candidates of that weight are
-    never built.
+    never built.  The tensor-word weights are built by prefix, weight of
+    (a,) + u = weight of a + weight of u, as loday_matrix builds its
+    columns.
     """
     require_leibniz(algebra)
     if max_degree < 2:
@@ -329,15 +371,17 @@ def homology(algebra, max_degree=4, loday=False):
     def blocks(n):
         if n < max_degree:
             return _group(weights[n], boundary_matrix(algebra, n))
-        return {w: (dst.row_coords(boundary_word_terms(algebra, v))
+        return {w: (dst.pivot_values(boundary_word_terms(algebra, v))
                     for v in block) for w, block in top.items()}
 
     ranks = _ranks({n: Counter(ws) for n, ws in weights.items()}, blocks)
     out = {"dims": dims, "ranks": ranks, "HA": _shifted_homology(dims, ranks)}
     if loday:
         tdims = {n: m ** n for n in range(1, max_degree + 1)}
-        tweights = {n: [weight(w) for w in tensor_words(m, n)]
-                    for n in range(1, max_degree + 1)}
+        tweights = {1: letters}
+        for n in range(2, max_degree + 1):
+            tweights[n] = [tuple(map(sum, zip(la, lu))) for la in letters
+                           for lu in tweights[n - 1]]
         tranks = _ranks(
             {n: Counter(tweights[n]) for n in range(1, max_degree)},
             lambda n: _group(tweights[n], loday_matrix(algebra, n)))
@@ -528,11 +572,15 @@ class DGLA:
         """
         ad = {}
         for letter in {x for w in terms for x in w}:
-            ad[letter] = self.algebra.bracket_vectors(g_vec, {letter: 1})
+            vec = self.algebra.bracket_vectors(g_vec, {letter: 1})
+            if vec:
+                ad[letter] = vec
         out = {}
+        if not ad:
+            return out
         for w, c in terms.items():
             for i, letter in enumerate(w):
-                for k, cb in ad[letter].items():
+                for k, cb in ad.get(letter, {}).items():
                     _add_term(out, w[:i] + (k,) + w[i + 1:], c * cb)
         return out
 

@@ -160,13 +160,6 @@ class SparseEchelon:
         res, _, _ = self._reduce(vec)
         return not res
 
-    def row_multipliers(self, vec):
-        """{row: int} g with sum_k g[k] rows[k] = c vec for an int c != 0;
-        None if vec is outside the span.  The reduction alone, with no
-        back-substitution."""
-        res, _, gamma = self._reduce(vec)
-        return None if res else gamma
-
     def coordinates(self, vec):
         """{row k: Fraction} with vec = sum_k x[k] (k-th accepted insert),
         in ascending k; None if vec is outside the span."""

@@ -14,7 +14,8 @@ from leibcx.complexes import (DGLA, boundary_matrix, boundary_square_report,
                               boundary_word_terms, dgla_suite,
                               free_lie_basis, homology, intertwining_report,
                               ker2_invariance, ker2_invariance_reports,
-                              loday_matrix, omega0, superwitt_dim)
+                              loday_apply, loday_matrix, omega0,
+                              superwitt_dim)
 from leibcx.errors import InputError
 from leibcx.exactla import SparseEchelon, rank
 from leibcx.fileio import parse_algebra_file
@@ -193,6 +194,22 @@ def test_loday_matrix_rank_l2():
     assert nonzero == [Fraction(1)]
 
 
+def test_loday_matrix_recursion_matches_the_pairwise_formula():
+    # loday_matrix builds del_L(a (x) u) = a.u - a (x) del_L(u) up from
+    # degree 1; loday_apply sums the pairs directly.  The identity needs
+    # no Leibniz rule, so B1 is a case too
+    for name in catalog.ALL_NAMES:
+        for A in (catalog.get(name), _halved(catalog.get(name))):
+            for n in range(2, 6):
+                rows = {w: i for i, w in
+                        enumerate(tensor_words(A.dim, n - 1))}
+                for w, col in zip(tensor_words(A.dim, n),
+                                  loday_matrix(A, n)):
+                    assert col == {rows[t]: c for t, c in
+                                   loday_apply(A, {w: 1}).items()}, \
+                        (A.name, w)
+
+
 def test_homology_frozen_tables():
     expected = {
         "abelian1": ({2: 0, 3: 0, 4: 0, 5: 0}, {0: 1, 1: 1, 2: 0, 3: 0}),
@@ -354,8 +371,10 @@ def _inhomogeneous_columns(A, N):
               tensor_words(m, n - 1))
     dst = free_lie_basis(m, N - 1)
     top = [(a,) + b for a in range(1, m + 1) for b in dst.words]
+    pivot_words = sorted(dst.echelon.pivots, key=dst.echelon.pivots.get)
     check("top", N, top,
-          [dst.row_coords(boundary_word_terms(A, w)) for w in top], dst.words)
+          [dst.pivot_values(boundary_word_terms(A, w)) for w in top],
+          pivot_words)
     return bad
 
 
@@ -447,13 +466,13 @@ def test_homology_builds_top_columns_only_up_to_the_bound(monkeypatch):
     # bounds, or have bound 0 and build nothing, so 54 of its 240 are
     # built
     calls = []
-    row_coords = complexes.LieBasisSlice.row_coords
+    pivot_values = complexes.LieBasisSlice.pivot_values
 
     def counting(self, terms):
         calls.append(self.degree)
-        return row_coords(self, terms)
+        return pivot_values(self, terms)
 
-    monkeypatch.setattr(complexes.LieBasisSlice, "row_coords", counting)
+    monkeypatch.setattr(complexes.LieBasisSlice, "pivot_values", counting)
     rep = homology(catalog.get("sl2"), max_degree=7)
     assert rep["ranks"][7] == rep["dims"][6] - rep["ranks"][6] == 91
     assert calls == [6] * 144 and 144 < 3 * free_lie_basis(3, 6).dim == 372
@@ -485,22 +504,35 @@ def test_coords_rebuild_random_elements(m, n):
         assert sl.coords({w: 1}) == {k: 1}, (m, n, w)
 
 
-def test_row_coords_are_scaled_coordinates_over_the_rows():
+@pytest.mark.parametrize("m, n", [(2, 7), (3, 5), (4, 4)])
+def test_echelon_rows_are_triangular_at_their_pivots(m, n):
+    # row k vanishes at the pivot words of rows < k and not at its own,
+    # which makes pivot_values injective on the span
+    ech = free_lie_basis(m, n).echelon
+    pivot_words = sorted(ech.pivots, key=ech.pivots.get)
+    assert len(pivot_words) == len(ech.rows)
+    for k, row in enumerate(ech.rows):
+        assert row.get(pivot_words[k]), (m, n, k)
+        assert not any(t in row for t in pivot_words[:k]), (m, n, k)
+
+
+def test_pivot_values_read_the_embedding_at_the_pivots():
     sl = free_lie_basis(3, 4)
     terms = {(3, 2, 1, 1): Fraction(1, 3), (2, 1, 3, 3): Fraction(-2, 5),
              (1, 2, 3, 2): 4}
-    total = {}
-    for k, g in sl.row_coords(terms).items():
-        for i, v in sl.echelon.rows[k].items():
-            _add_term(total, i, g * v)
-    # the multipliers rebuild c times the embedding, for one c != 0
     emb = _extend(terms, embedded_word)
-    assert set(total) == set(emb)
-    assert len({total[w] / c for w, c in emb.items()}) == 1
+    values = sl.pivot_values(terms)
+    assert all(type(c) is int for c in values.values())
+    # 15 clears the denominators
+    assert values == {k: 15 * emb[t] for t, k in sl.echelon.pivots.items()
+                      if t in emb}
+    assert sl.pivot_values({w: 1 for w in sl.words[:2]}) == _combine(
+        sl.pivot_values({sl.words[0]: 1}), sl.pivot_values({sl.words[1]: 1}))
+
+
+def test_coords_refuse_an_element_outside_the_span():
     with pytest.raises(InputError):
-        sl.row_coords({(1, 2): 1})
-    with pytest.raises(InputError):
-        sl.coords({(1, 2): 1})
+        free_lie_basis(3, 4).coords({(1, 2): 1})
 
 
 def test_homology_rejects_bad_input():
