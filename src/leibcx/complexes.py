@@ -58,12 +58,9 @@ class LieBasisSlice:
     too.  Echelon row k is the embedding of the k-th kept word, so
     coords() reads the echelon's coordinates as they are: it expresses
     any element of the span over the kept words, exactly.
-
     Row k is zero at the pivots of the rows before it and nonzero at its
-    own, so the rows restricted to the pivot words are triangular, and
-    reading an element's embedding at the pivot words (pivot_values) is
-    injective on the span: it keeps the rank of any list of elements
-    with no elimination.
+    own, so pivot_values, the embedding read at the pivot words, is
+    injective on the span and keeps ranks with no elimination.
     """
 
     def __init__(self, m, degree):
@@ -94,10 +91,9 @@ class LieBasisSlice:
     def pivot_values(self, terms):
         """{row k: int}: c * eps(element) at the pivot word of row k.
 
-        c > 0 clears the denominators, so no Fraction is made.  On the
-        span of the slice this is injective and linear up to that scale,
-        so a list of elements keeps its rank; outside the span it is
-        only a projection."""
+        c > 0 clears the denominators of terms, so no Fraction is made.
+        Reading at the pivots is linear and, on the span of the slice,
+        injective, so elements of the span keep their rank."""
         pivots = self.echelon.pivots
         out = {}
         for w, c in _as_int_vector(terms)[0].items():
@@ -193,11 +189,11 @@ def loday_matrix(algebra, n):
 
         del_L(a (x) u) = a.u - a (x) del_L(u),
 
-    a.u the sum over the positions j of u of u with u_j replaced by
-    [a, u_j]: the pairs that bracket the first letter, and the rest.  On
-    lex indices (a,) + u sits at (a - 1) m^(d-1) + idx(u) in degree d,
-    and replacing u_j by k moves idx(u) by (k - u_j) m^(d-2-j).
-    loday_apply keeps the direct pairwise formula.
+    where a.u replaces each letter u_j of u in turn by [a, u_j] (the
+    pairs that bracket the first letter) and a (x) del_L(u) holds the
+    other pairs.  On lex indices, (a,) + u sits at (a - 1) m^(d-1) +
+    idx(u) in degree d, and replacing u_j by k moves idx(u) by
+    (k - u_j) m^(d-2-j).  loday_apply keeps the direct pairwise formula.
     """
     if n < 2:
         raise InputError("tensor boundary matrices start at degree 2")
@@ -347,9 +343,7 @@ def homology(algebra, max_degree=4, loday=False):
     out there, which keeps the rank with no coordinate solve.  Each block
     of them is built on demand, as rank() pulls it: once the rank of a
     block meets its bound the remaining candidates of that weight are
-    never built.  The tensor-word weights are built by prefix, weight of
-    (a,) + u = weight of a + weight of u, as loday_matrix builds its
-    columns.
+    never built.
     """
     require_leibniz(algebra)
     if max_degree < 2:
@@ -378,7 +372,7 @@ def homology(algebra, max_degree=4, loday=False):
     out = {"dims": dims, "ranks": ranks, "HA": _shifted_homology(dims, ranks)}
     if loday:
         tdims = {n: m ** n for n in range(1, max_degree + 1)}
-        tweights = {1: letters}
+        tweights = {1: letters}   # weight of (a,) + u: of a plus of u
         for n in range(2, max_degree + 1):
             tweights[n] = [tuple(map(sum, zip(la, lu))) for la in letters
                            for lu in tweights[n - 1]]
@@ -572,15 +566,13 @@ class DGLA:
         """
         ad = {}
         for letter in {x for w in terms for x in w}:
-            vec = self.algebra.bracket_vectors(g_vec, {letter: 1})
-            if vec:
-                ad[letter] = vec
+            ad[letter] = self.algebra.bracket_vectors(g_vec, {letter: 1})
+        if not any(ad.values()):
+            return {}
         out = {}
-        if not ad:
-            return out
         for w, c in terms.items():
             for i, letter in enumerate(w):
-                for k, cb in ad.get(letter, {}).items():
+                for k, cb in ad[letter].items():
                     _add_term(out, w[:i] + (k,) + w[i + 1:], c * cb)
         return out
 
