@@ -32,10 +32,10 @@ integral algebra stay int, and so does a residue modulo I whose
 reduction needed no division.
 """
 
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, islice, product
+from itertools import chain, groupby, islice, product
 
 from .algebras import ideal_residue, require_leibniz
 from .errors import InputError
@@ -184,8 +184,8 @@ def loday_matrix(algebra, n):
     """Matrix of del_L: T^n -> T^(n-1) as sparse columns over lex words.
 
     Column i is {row: coeff}, del_L of the i-th tensor word in lex order,
-    with rows indexing the words of length n-1 the same way.  Built up
-    from degree 1, where del_L is zero, by
+    with rows indexing the words of length n-1 the same way.  It is the
+    last degree of _loday_degrees, built up from degree 1 (del_L = 0) by
 
         del_L(a (x) u) = a.u - a (x) del_L(u),
 
@@ -197,17 +197,22 @@ def loday_matrix(algebra, n):
     """
     if n < 2:
         raise InputError("tensor boundary matrices start at degree 2")
+    return deque(_loday_degrees(algebra, n), maxlen=1).pop()
+
+
+def _loday_degrees(algebra, n):
+    # loday_matrix at degrees 2..n in turn, each built from the last alone
     m = algebra.dim
     letters = range(1, m + 1)
     cols = [{} for _ in letters]
     for d in range(2, n + 1):
         place = [m ** (d - 2 - j) for j in range(d - 1)]
         shift = m ** (d - 2)
-        tails = tensor_words(m, d - 1)
         new = []
         for a in letters:
             base = (a - 1) * shift
             acts = [algebra.bracket(a, b) for b in letters]
+            tails = product(letters, repeat=d - 1)   # lazy: none is kept
             for i, (u, low) in enumerate(zip(tails, cols)):
                 col = {base + r: -c for r, c in low.items()}
                 for b, p in zip(u, place):
@@ -215,7 +220,7 @@ def loday_matrix(algebra, n):
                         _add_term(col, i + (k - b) * p, c)
                 new.append(col)
         cols = new
-    return cols
+        yield cols
 
 
 def boundary_square_report(algebra, max_degree=5):
@@ -297,18 +302,20 @@ def _group(keys, items):
     return out
 
 
-def _ranks(sizes, blocks):
-    # ranks of d_2..d_N by weight block.  sizes[n] counts the source
-    # words of each weight at degree n (n = 1..N-1); blocks(n) maps each
-    # weight to the columns of d_n whose source words carry it.  The
-    # ranks are taken in increasing degree, since d o d = 0 bounds the
-    # block of d_n at weight w by sizes[n-1][w] - rank d_(n-1)^w
+def _ranks(weights, blocks):
+    # ranks of d_2..d_N by weight block.  weights[n] lists the weights of
+    # the source words of degree n; blocks yields, for n = 2..N in turn,
+    # {weight: columns of d_n whose source words carry it}, each dropped
+    # once ranked.  d o d = 0 bounds the block of d_n at weight w by the
+    # count of w in weights[n-1] minus rank d_(n-1)^w, found just before
     ranks, below = {}, {}
-    for n in range(2, len(sizes) + 2):
-        cur = {w: rank(cols, upper=sizes[n - 1].get(w, 0) - below.get(w, 0))
-               for w, cols in blocks(n).items()}
-        ranks[n] = sum(cur.values())
-        below = cur
+    for block in blocks:
+        n = len(ranks) + 2
+        sizes = Counter(weights[n - 1])
+        below = {w: rank(cols, upper=sizes[w] - below.get(w, 0))
+                 for w, cols in block.items()}
+        ranks[n] = sum(below.values())
+        del block   # before the next degree is built
     return ranks
 
 
@@ -319,18 +326,18 @@ def homology(algebra, max_degree=4, loday=False):
     of del_2..del_max_degree, and HA_0..HA_(max_degree-2); with loday,
     the same for the tensor complex.
 
-    Every rank is split by the algebra's grading (grading()): del
-    replaces letters a, b by a k with c_ab^k != 0, so it keeps the total
-    weight of a word, and del_n and del_L are block-diagonal by the
-    weight of the source word.  Each block is ranked on its own, in
-    increasing degree.  del o del = 0 puts the image of the block of
-    del_n at weight w inside the kernel of the block of del_(n-1) at w,
-    so its rank is at most dim F^(n-1)_w - rank del_(n-1)^w; for del_L
-    the tensor words of weight w count in place of dim F^(n-1)_w.
-    rank() takes this as its upper bound: a rank modulo a prime that
-    reaches it is exact.  Exact elimination runs only on the blocks
-    where it does not, that is where the homology at F^(n-1) of that
-    weight is nonzero (or the prime is unlucky), and a block whose
+    Every rank is split by the algebra's grading (grading()): del replaces
+    letters a, b by a k with c_ab^k != 0, so it keeps the total weight of
+    a word, and del_n and del_L are block-diagonal by the weight of the
+    source word.  Each boundary is built once, in one pass up the degrees,
+    and each block is ranked on its own and dropped.  del o del = 0 puts
+    the image of the block of del_n at weight w inside the kernel of the
+    block of del_(n-1) at w, so its rank is at most dim F^(n-1)_w - rank
+    del_(n-1)^w; for del_L the tensor words of weight w count in place of
+    dim F^(n-1)_w.  rank() takes this as its upper bound: a rank modulo a
+    prime that reaches it is exact.  Exact elimination runs only on the
+    blocks where it does not, that is where the homology at F^(n-1) of
+    that weight is nonzero (or the prime is unlucky), and a block whose
     weight has no word one degree down has bound 0 and pulls no column.
     An algebra with only the zero grading keeps one block per degree.
     require_leibniz runs first, so both squares vanish.
@@ -354,21 +361,17 @@ def homology(algebra, max_degree=4, loday=False):
     def weight(word):
         return tuple(map(sum, zip(*(letters[a - 1] for a in word))))
 
-    dims = {n: free_lie_basis(m, n).dim for n in range(1, max_degree)}
-    dims[max_degree] = superwitt_dim(m, max_degree)
     weights = {n: [weight(w) for w in free_lie_basis(m, n).words]
                for n in range(1, max_degree)}
+    dims = {n: len(ws) for n, ws in weights.items()}
+    dims[max_degree] = superwitt_dim(m, max_degree)
     dst = free_lie_basis(m, max_degree - 1)
     cands = [(a,) + b for a in range(1, m + 1) for b in dst.words]
-    top = _group(map(weight, cands), cands)
-
-    def blocks(n):
-        if n < max_degree:
-            return _group(weights[n], boundary_matrix(algebra, n))
-        return {w: (dst.pivot_values(boundary_word_terms(algebra, v))
-                    for v in block) for w, block in top.items()}
-
-    ranks = _ranks({n: Counter(ws) for n, ws in weights.items()}, blocks)
+    top = {w: (dst.pivot_values(boundary_word_terms(algebra, v)) for v in vs)
+           for w, vs in _group(map(weight, cands), cands).items()}
+    ranks = _ranks(weights, chain(
+        (_group(weights[n], boundary_matrix(algebra, n))
+         for n in range(2, max_degree)), [top]))
     out = {"dims": dims, "ranks": ranks, "HA": _shifted_homology(dims, ranks)}
     if loday:
         tdims = {n: m ** n for n in range(1, max_degree + 1)}
@@ -376,12 +379,11 @@ def homology(algebra, max_degree=4, loday=False):
         for n in range(2, max_degree + 1):
             tweights[n] = [tuple(map(sum, zip(la, lu))) for la in letters
                            for lu in tweights[n - 1]]
-        tranks = _ranks(
-            {n: Counter(tweights[n]) for n in range(1, max_degree)},
-            lambda n: _group(tweights[n], loday_matrix(algebra, n)))
-        out["tensor_dims"] = tdims
-        out["tensor_ranks"] = tranks
-        out["HL"] = _shifted_homology(tdims, tranks)
+        tranks = _ranks(tweights, map(
+            _group, (tweights[n] for n in range(2, max_degree + 1)),
+            _loday_degrees(algebra, max_degree)))
+        out.update(tensor_dims=tdims, tensor_ranks=tranks,
+                   HL=_shifted_homology(tdims, tranks))
     return out
 
 

@@ -138,12 +138,10 @@ def parse_algebra_file(path):
     return algebra
 
 
-def algebra_to_doc(algebra, basis=None):
+def algebra_to_doc(algebra):
     doc = {"dim": algebra.dim}
     if algebra.name:
         doc["name"] = algebra.name
-    if basis:
-        doc["basis"] = list(basis)
     brackets = []
     for (i, j), comps in sorted(algebra.items()):
         brackets.append({

@@ -428,9 +428,10 @@ def _halved(algebra):
 
 
 def test_top_rank_on_the_spanning_candidates_matches_exact_elimination():
-    # homology ranks del_N on the prefix candidates in row coordinates;
-    # the reference is the exact rank of the basis-word columns of del_N.
-    # The halved copies give row_coords Fraction input.
+    # homology ranks del_N on the pivot_values read-outs of the prefix
+    # candidates' boundaries; the reference is the exact rank of the
+    # basis-word columns of del_N.  The halved copies give Fraction
+    # boundary terms, whose denominators the read-out clears.
     cases = [catalog.get(name) for name in catalog.VALID_NAMES]
     cases += [_halved(catalog.get("sl2")), _halved(catalog.get("doubleL2"))]
     for A in cases:
@@ -480,6 +481,37 @@ def test_homology_builds_top_columns_only_up_to_the_bound(monkeypatch):
     rep = homology(catalog.get("doubleL2"), max_degree=5)
     assert rep["ranks"][5] == 44 < rep["dims"][4] - rep["ranks"][4] == 47
     assert calls == [4] * 54 and 54 < 4 * free_lie_basis(4, 4).dim == 240
+
+
+def test_homology_builds_each_boundary_once(monkeypatch):
+    # del_2..del_(N-1) are one boundary_matrix call each, and del_L comes
+    # from one pass of its prefix recursion, each degree built once.
+    # Building degrees 2..n afresh for each n would build 7,248 columns
+    # for doubleL2 to 6 and 16,332 for L2 to 12
+    assembled, passes, columns = [], [], []
+    assemble, degrees = complexes.boundary_matrix, complexes._loday_degrees
+
+    def assembling(algebra, n):
+        assembled.append(n)
+        return assemble(algebra, n)
+
+    def passing(algebra, n):
+        passes.append(n)
+        for cols in degrees(algebra, n):
+            columns.append(len(cols))
+            yield cols
+
+    monkeypatch.setattr(complexes, "boundary_matrix", assembling)
+    monkeypatch.setattr(complexes, "_loday_degrees", passing)
+    for name, N, built in (("doubleL2", 6, 5456), ("L2", 12, 8188)):
+        A = catalog.get(name)
+        homology(A, N, loday=True)
+        assert assembled == list(range(2, N)), name
+        assert passes == [N], name
+        assert columns == [A.dim ** d for d in range(2, N + 1)], name
+        assert sum(columns) == built, name
+        for calls in (assembled, passes, columns):
+            calls.clear()
 
 
 @pytest.mark.parametrize("m, n", [(2, 7), (3, 5), (4, 4)])
