@@ -212,7 +212,7 @@ def _loday_degrees(algebra, n):
         for a in letters:
             base = (a - 1) * shift
             acts = [algebra.bracket(a, b) for b in letters]
-            tails = product(letters, repeat=d - 1)   # lazy: none is kept
+            tails = product(letters, repeat=d - 1)   # lazy: no list to hold
             for i, (u, low) in enumerate(zip(tails, cols)):
                 col = {base + r: -c for r, c in low.items()}
                 for b, p in zip(u, place):
