@@ -8,6 +8,16 @@ happens in the hot loop.  Reduction applies the stored rows in insertion
 order, but visits only the rows whose pivot the residue reaches (a heap
 of row positions, fed as updates create entries at pivots), as in sparse
 partial pivoting.
+The pivot of a new row is the lowest index of its residue unless the
+caller asks for another rule: SparseEchelon(pick=max) takes the highest.
+Only the stored rows depend on the rule.  The rank-only eliminations
+(rank() and the modular pass) and the bracket-word slices take the
+highest index.  On
+the lex-ordered columns of the homology blocks it fills in far less:
+one top-degree block of 1,960 columns (rank 1,001) ends with 131,691
+stored entries under the lowest index and 26,610 under the highest, and
+its exact rank takes 48 s against 0.38 s.  rref, nullspace and the
+ideal residue keep the lowest index, which their canonical forms need.
 Each insert records the multipliers its reduction produced, so row k is
 a combination of the k-th accepted vector and the rows before it.
 Coordinate recovery (membership certificates) reduces once and then
@@ -73,9 +83,15 @@ class SparseEchelon:
     div * rows[k] = scale * vec - sum_j gamma[j] * rows[j], every j < k.
     coordinates(vec) returns {row k: Fraction} expressing vec over the
     accepted inserts, or None when vec is outside the span.
+    pick chooses the pivot of a new row among the indices of its
+    residue: min (the default) gives the canonical echelon that rref and
+    nullspace read; max fills in less on lex-ordered inputs.  The rule
+    changes the stored rows and pivots, never which inserts are accepted
+    or the coordinates over them.
     """
 
-    def __init__(self):
+    def __init__(self, pick=min):
+        self.pick = pick
         self.rows = []        # list of integer dicts, one pivot each
         self.pivots = {}      # pivot index -> row position
         self._rowpiv = []     # row position -> pivot index
@@ -140,7 +156,7 @@ class SparseEchelon:
             return False
         res, div = _gcd_normalize(res)
         self._mults.append((scale, div, gamma))
-        piv = min(res)
+        piv = self.pick(res)
         self.pivots[piv] = len(self.rows)
         self._rowpiv.append(piv)
         self.rows.append(res)
@@ -197,8 +213,8 @@ class SparseEchelon:
         return {k: Fraction(out[k], den) for k in sorted(out)}
 
 
-def _echelon(rows):
-    ech = SparseEchelon()
+def _echelon(rows, pick=min):
+    ech = SparseEchelon(pick)
     for r in rows:
         ech.insert(r)
     return ech
@@ -212,8 +228,9 @@ def _rank_mod_prime(vectors, stop=None):
     # rank over Q, since clearing a vector's denominators only scales it
     # and a minor that is nonzero mod p is nonzero.  Rows are monic and
     # visited as in SparseEchelon._reduce: in insertion order, only the
-    # rows whose pivot the residue holds.  Once the rank reaches stop no
-    # further vector is pulled.
+    # rows whose pivot the residue holds, each pivoting at the highest
+    # index of its residue, as rank()'s exact fallback does.  Once the
+    # rank reaches stop no further vector is pulled.
     p = _PRIME
     rows, rowpiv, pivots = [], [], {}
     if stop == 0:
@@ -245,7 +262,7 @@ def _rank_mod_prime(vectors, stop=None):
                     else:
                         del res[i]
         if res:
-            piv = min(res)
+            piv = max(res)
             inv = pow(res[piv], -1, p)
             pivots[piv] = len(rows)
             rowpiv.append(piv)
@@ -264,17 +281,17 @@ def rank(vectors, upper=None):
     vector past the one that reaches it is pulled (none when upper is
     0).  Otherwise (nonzero homology, or an unlucky prime) the exact
     elimination runs on every vector: those the modular pass pulled and
-    the rest.
+    the rest.  Both eliminations pivot at the highest index of each
+    residue, which fills in far less than the lowest on the lex-ordered
+    columns of the homology blocks.
     """
-    if upper is None:
-        return _echelon(vectors).rank
     vectors = iter(vectors)
     pulled = []     # each vector as the modular pass pulls it
-    if _rank_mod_prime((pulled.append(v) or v for v in vectors),
-                       upper) == upper:
+    if upper is not None and _rank_mod_prime(
+            (pulled.append(v) or v for v in vectors), upper) == upper:
         return upper
     pulled.extend(vectors)
-    return _echelon(pulled).rank
+    return _echelon(pulled, max).rank
 
 
 def rref(rows):

@@ -274,9 +274,9 @@ def _count_exact_rows(monkeypatch):
     sizes = []
     echelon = exactla._echelon
 
-    def counting(rows):
+    def counting(rows, *pick):
         sizes.append(len(rows))
-        return echelon(rows)
+        return echelon(rows, *pick)
 
     monkeypatch.setattr(exactla, "_echelon", counting)
     return sizes
@@ -560,6 +560,63 @@ def test_pivot_values_read_the_embedding_at_the_pivots():
                       if t in emb}
     assert sl.pivot_values({w: 1 for w in sl.words[:2]}) == _combine(
         sl.pivot_values({sl.words[0]: 1}), sl.pivot_values({sl.words[1]: 1}))
+
+
+def _leftmost_slice(m, n):
+    # LieBasisSlice(m, n) over an echelon that pivots at the lowest index
+    # of each residue; the tails are the cached slices, built first so
+    # that none of them is built under the patch
+    free_lie_basis(m, n - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexes, "SparseEchelon",
+                   lambda *args, **kwargs: SparseEchelon())
+        return complexes.LieBasisSlice(m, n)
+
+
+def _stored_entries(echelon):
+    return sum(map(len, echelon.rows))
+
+
+@pytest.mark.parametrize("m, top", [(2, 8), (3, 6), (4, 5)])
+def test_pivot_rule_keeps_the_basis_and_its_coords(m, top):
+    # the slices pivot at the highest index; the lowest keeps the same
+    # words, and the same coordinates over them
+    rng = random.Random(10 * m + top)
+    for n in range(2, top + 1):
+        sl, ref = free_lie_basis(m, n), _leftmost_slice(m, n)
+        assert sl.echelon.pick is max and ref.echelon.pick is min
+        assert ref.words == sl.words, (m, n)
+        assert ref.echelon.pivots != sl.echelon.pivots, (m, n)
+        for trial in range(6):
+            terms = {}
+            for _ in range(rng.randint(1, 5)):
+                w = tuple(rng.randint(1, m) for _ in range(n))
+                _add_term(terms, w, Fraction(rng.randint(-5, 5),
+                                             rng.randint(1, 4)))
+            assert ref.coords(terms) == sl.coords(terms), (m, n, trial)
+
+
+def test_highest_index_pivots_fill_in_less():
+    # the slice echelon and the exact fallback of rank() store fewer
+    # entries than the lowest-index rule on the same inserts
+    sl = free_lie_basis(3, 8)
+    assert _stored_entries(sl.echelon) < _stored_entries(
+        _leftmost_slice(3, 8).echelon)
+
+    runs = []
+    echelon = exactla._echelon
+
+    def recording(rows, *pick):
+        runs.append((rows, echelon(rows, *pick)))
+        return runs[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactla, "_echelon", recording)
+        homology(catalog.get("doubleL2"), max_degree=6, loday=True)
+    cols, ech = max(runs, key=lambda run: len(run[0]))
+    lowest = echelon(cols)
+    assert ech.pick is max and ech.rank == lowest.rank
+    assert _stored_entries(ech) < _stored_entries(lowest)
 
 
 def test_coords_refuse_an_element_outside_the_span():

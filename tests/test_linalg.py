@@ -227,7 +227,8 @@ def _ref_as_int_vector(vec):
 
 
 class _ReferenceEchelon:
-    def __init__(self):
+    def __init__(self, pick=min):
+        self.pick = pick
         self.rows = []
         self.pivots = {}
         self._rowpiv = []
@@ -289,7 +290,7 @@ class _ReferenceEchelon:
         if v:
             expr[src] = v
         self._exprs.append(expr)
-        piv = min(res)
+        piv = self.pick(res)
         self.pivots[piv] = len(self.rows)
         self._rowpiv.append(piv)
         self.rows.append(res)
@@ -334,49 +335,55 @@ def _items(d):
 
 
 def test_echelon_matches_all_rows_reference():
-    rng = random.Random(20261018)
-    for trial in range(16):
-        ncols = rng.choice((10, 24))
-        density = rng.choice((0.1, 0.3, 0.9))
-        rational = trial % 2 == 1
-        ech, ref = SparseEchelon(), _ReferenceEchelon()
-        row_of = {}       # accepted reference source -> echelon row
+    # under either pivot rule the reduction, the rows, the pivots and
+    # the coordinates match the reference
+    for pick in (min, max):
+        rng = random.Random(20261018)
+        for trial in range(16):
+            ncols = rng.choice((10, 24))
+            density = rng.choice((0.1, 0.3, 0.9))
+            rational = trial % 2 == 1
+            ech, ref = SparseEchelon(pick), _ReferenceEchelon(pick)
+            row_of = {}       # accepted reference source -> echelon row
 
-        def ref_coords(vec):
-            coords = ref.coordinates(vec)
-            return None if coords is None else \
-                {row_of[s]: c for s, c in coords.items()}
+            def ref_coords(vec):
+                coords = ref.coordinates(vec)
+                return None if coords is None else \
+                    {row_of[s]: c for s, c in coords.items()}
 
-        inserted = []
-        for _ in range(ncols + 4):
-            if inserted and rng.random() < 0.3:
-                vec = _random_combination(rng, inserted)
-            else:
-                vec = _random_vector(rng, ncols, density, rational)
-            res, scale, gamma = ech._reduce(vec)
-            want = ref._reduce(vec)
-            assert (_items(res), scale, _items(gamma)) == \
-                (_items(want[0]), want[1], _items(want[2]))
-            assert ech.coordinates(vec) == ref_coords(vec)
-            src = ref.nsources
-            accepted = ech.insert(vec)
-            assert accepted == ref.insert(vec)
-            if accepted:
-                row_of[src] = ech.rank - 1
-            inserted.append(vec)
-            assert [_items(r) for r in ech.rows] == \
-                [_items(r) for r in ref.rows]
-            assert ech.pivots == ref.pivots and ech.rank == len(ref.rows)
-        for vec in [_random_combination(rng, inserted) for _ in range(4)] + \
-                [_random_vector(rng, ncols, density, rational)]:
-            got = ech.coordinates(vec)
-            assert got == ref_coords(vec)
-            assert got is None or list(got) == sorted(got)
+            inserted = []
+            for _ in range(ncols + 4):
+                if inserted and rng.random() < 0.3:
+                    vec = _random_combination(rng, inserted)
+                else:
+                    vec = _random_vector(rng, ncols, density, rational)
+                res, scale, gamma = ech._reduce(vec)
+                want = ref._reduce(vec)
+                assert (_items(res), scale, _items(gamma)) == \
+                    (_items(want[0]), want[1], _items(want[2]))
+                assert ech.coordinates(vec) == ref_coords(vec)
+                src = ref.nsources
+                accepted = ech.insert(vec)
+                assert accepted == ref.insert(vec)
+                if accepted:
+                    row_of[src] = ech.rank - 1
+                inserted.append(vec)
+                assert [_items(r) for r in ech.rows] == \
+                    [_items(r) for r in ref.rows]
+                assert ech.pivots == ref.pivots and ech.rank == len(ref.rows)
+            extra = [_random_combination(rng, inserted) for _ in range(4)]
+            for vec in extra + [_random_vector(rng, ncols, density, rational)]:
+                got = ech.coordinates(vec)
+                assert got == ref_coords(vec)
+                assert got is None or list(got) == sorted(got)
 
 
 def test_rank_mod_prime_matches_exact_rank():
     # a lower bound that the dependencies of random rational vectors
-    # do not escape: each combination is dependent mod p as well
+    # do not escape: each combination is dependent mod p as well.  The
+    # modular pass and the exact fallback of rank() (forced by a bound
+    # one past the count) pivot at the highest index; the rank is that
+    # of either rule
     rng = random.Random(7)
     for trial in range(20):
         ncols = rng.choice((6, 16))
@@ -384,4 +391,11 @@ def test_rank_mod_prime_matches_exact_rank():
                 for _ in range(rng.randint(1, ncols))]
         vecs += [_random_combination(rng, vecs) for _ in range(4)]
         rng.shuffle(vecs)
-        assert _rank_mod_prime(vecs) == rank(vecs), trial
+        ranks = {_rank_mod_prime(vecs), rank(vecs),
+                 rank(vecs, upper=len(vecs) + 1)}
+        for pick in (min, max):
+            ech = SparseEchelon(pick)
+            for v in vecs:
+                ech.insert(v)
+            ranks.add(ech.rank)
+        assert len(ranks) == 1, trial
