@@ -3,11 +3,11 @@
 Each case runs ``leibcx.cli.main`` in process and compares stdout and the
 exit code with the files under tests/golden/.  Every command runs with
 ``--format json`` on every entry; on sl2 and B1 it also runs with
-``--format text``, so the text printer has a byte check too.  One more
-file, under golden/dense/, holds homology of a dense change of basis of
-sl2 (tests/data/sl2_conj0.json) to degree 7, ranked by exact elimination
-alone.  The files under golden/loday/ hold ``homology --loday`` past the
-degree 4 of the per-entry cases, one degree per entry, named
+``--format text``, so the text printer has a byte check too.  Two more
+files, under golden/dense/, hold homology of a dense change of basis of
+sl2 (tests/data/sl2_conj0.json) to degrees 7 and 8, ranked by exact
+elimination alone.  The files under golden/loday/ hold ``homology --loday``
+past the degree 4 of the per-entry cases, one degree per entry, named
 NAME_max-degree_N.
 Refactors of the internals must leave every case unchanged.
 
@@ -118,19 +118,21 @@ def test_dense_change_of_basis_matches_catalog():
         assert conj[1] == 0
 
 
-# homology of the sl2 conjugate, recorded with every rank taken by exact
-# elimination (_exact_ranks_only), so the reference for the dense path does
-# not come from the modular certificate it checks
-DENSE_KEY = "dense/sl2_conj0_homology_max-degree_7"
-DENSE_ARGV = ["homology", os.path.join(HERE, "data", "sl2_conj0.json"),
-              "--max-degree", "7", "--format", "json"]
+# homology of the sl2 conjugate to degrees 7 and 8, recorded with every
+# rank taken by exact elimination (_exact_ranks_only), so the reference for
+# the dense path does not come from the modular certificate it checks
+DENSE_CASES = [(f"dense/sl2_conj0_homology_max-degree_{n}",
+                ["homology", os.path.join(HERE, "data", "sl2_conj0.json"),
+                 "--max-degree", str(n), "--format", "json"])
+               for n in (7, 8)]
 
 
 def test_dense_change_of_basis_matches_exact_reference():
-    with open(os.path.join(GOLDEN, DENSE_KEY + ".out"), encoding="utf-8",
-              newline="") as fh:
-        want = fh.read()
-    assert _run(DENSE_ARGV) == (want, 0)
+    for key, argv in DENSE_CASES:
+        with open(os.path.join(GOLDEN, key + ".out"), encoding="utf-8",
+                  newline="") as fh:
+            want = fh.read()
+        assert _run(argv) == (want, 0), key
 
 
 @contextlib.contextmanager
@@ -147,14 +149,14 @@ def _exact_ranks_only():
 
 
 def record():
-    with _exact_ranks_only():
-        text, code = _run(DENSE_ARGV)
-    assert code == 0
-    os.makedirs(os.path.dirname(os.path.join(GOLDEN, DENSE_KEY)),
-                exist_ok=True)
-    with open(os.path.join(GOLDEN, DENSE_KEY + ".out"), "w",
-              encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    for key, argv in DENSE_CASES:
+        with _exact_ranks_only():
+            text, code = _run(argv)
+        assert code == 0, key
+        os.makedirs(os.path.dirname(os.path.join(GOLDEN, key)), exist_ok=True)
+        with open(os.path.join(GOLDEN, key + ".out"), "w", encoding="utf-8",
+                  newline="") as fh:
+            fh.write(text)
     for key, argv in LODAY_CASES:
         text, code = _run(argv)
         assert code == 0, key
