@@ -436,20 +436,21 @@ def ker2_invariance_reports(algebra, subalgebras):
     pair word {u, v} over it lies in Ker(del_2) and (b) for u, v, w in it
     ([u,v], w) + (v, [u,w]) lies in Im(del_3).  For (a) no kernel is
     built: del{u, v} = [u,v] + [v,u] is a combination of letters, a basis
-    of F^1, so {u, v} is a cycle exactly when that expansion is empty;
-    kernel_dim is dim F^2 - rank del_2.  For (b) the boundary identity
+    of F^1, so {u, v} is a cycle exactly when that expansion is empty.
+    The same expansions span the symmetric ideal I, so Im(del_2) = I and
+    kernel_dim is dim F^2 - dim I, read off ideal_residue with del_2
+    neither built nor ranked.  For (b) the boundary identity
     del{u, v, w} = ([u,v], w) + (v, [u,w]) - (u, [v,w] + [w,v]) puts
     ([u,v], w) + (v, [u,w]) in Im(del_3) exactly when (u, s) is there,
-    s = [v,w] + [w,v]; a triple with s = 0 passes.  del_2 and del_3 are
-    assembled once for all the subalgebras.  Returns one report per
-    subalgebra.
+    s = [v,w] + [w,v]; a triple with s = 0 passes.  del_3 is assembled
+    once for all the subalgebras.  Returns one report per subalgebra.
     """
     require_leibniz(algebra)
     if not subalgebras:
         return []
     slice2 = free_lie_basis(algebra.dim, 2)
     image = _echelon(boundary_matrix(algebra, 3))
-    kernel_dim = slice2.dim - rank(boundary_matrix(algebra, 2))
+    kernel_dim = slice2.dim - len(ideal_residue(algebra)[0])
     reports = []
     for sub in subalgebras:
         kernel_failures = [(u, v) for u in sub for v in sub

@@ -18,7 +18,6 @@ against dual-basis functionals recovers the double's bracket exactly.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .algebras import require_twist
 from .errors import InputError
@@ -26,7 +25,6 @@ from .words import _add_term, _combine, _extend
 from .cochains import Cochain
 
 
-@lru_cache(maxsize=None)
 def dual_bracket_word(word):
     """Expansion {word}* as {tensor word: int}."""
     n = len(word)

@@ -284,6 +284,13 @@ def rank(vectors, upper=None):
     the rest.  Both eliminations pivot at the highest index of each
     residue, which fills in far less than the lowest on the lex-ordered
     columns of the homology blocks.
+
+    The modular pass stays although a block that falls back discards it:
+    exact elimination alone, measured cold on a shared 2-CPU host, made
+    homology of a dense change of basis of sl2 about 5x slower at degree
+    8 and 90x slower at degree 9, where the bound certifies almost every
+    block, and gained little or lost where most blocks carry homology (the
+    README has the figures).
     """
     vectors = iter(vectors)
     pulled = []     # each vector as the modular pass pulls it

@@ -12,15 +12,17 @@ tensor_words enumerates the words of one length over an alphabet.
 Functions that return a term dict return a fresh one, except
 embedded_word, whose dicts are the shared cache and are never mutated.
 
-The embedding eps sends {x1,...,xn} to the signed sum of permutation
-words defined by the recursion
+The embedding eps sends {x1,...,xn} to the iterated super-commutator
 
     eps{x} = x
-    eps{x1,...,xn} = x1 (x) eps{x2..xn}  -  (-1)^(n-1)  eps{x2..xn} (x) x1
+    eps{x1,...,xn} = [x1, eps{x2..xn}]
+                   = x1 (x) eps{x2..xn}  -  (-1)^(n-1)  eps{x2..xn} (x) x1
 
-(all generators carry odd parity).  It is injective on the span of the
-bracket words of a fixed length, which is what makes comparison through
-the embedding and the echelon-based basis extraction in complexes.py work.
+(all generators carry odd parity), and embedded_word computes it with
+super_commutator, the one graded-commutator loop of the package.  It is
+injective on the span of the bracket words of a fixed length, which is
+what makes comparison through the embedding and the echelon-based basis
+extraction in complexes.py work.
 """
 
 import itertools
@@ -59,23 +61,15 @@ _EMBED_CACHE = {(): {}}
 
 
 def embedded_word(word):
-    """Integer-coefficient expansion of the bracket word into tensor words."""
+    """Integer-coefficient expansion of the bracket word into tensor words:
+    the super-commutator of its first letter with the rest's expansion."""
     word = tuple(word)
     hit = _EMBED_CACHE.get(word)
-    if hit is not None:
-        return hit
-    if len(word) == 1:
-        out = {word: 1}
-    else:
-        head, rest = word[0], word[1:]
-        inner = embedded_word(rest)
-        sign = -((-1) ** (len(word) - 1))
-        out = {}
-        for w, c in inner.items():
-            _add_term(out, (head,) + w, c)
-            _add_term(out, w + (head,), sign * c)
-    _EMBED_CACHE[word] = out
-    return out
+    if hit is None:
+        hit = ({word: 1} if len(word) == 1 else
+               super_commutator({word[:1]: 1}, embedded_word(word[1:])))
+        _EMBED_CACHE[word] = hit
+    return hit
 
 
 def super_commutator(a, b):

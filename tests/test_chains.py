@@ -458,6 +458,19 @@ def test_homology_builds_no_top_degree_slice(monkeypatch):
     assert sorted(built) == [(3, n) for n in range(1, 6)]
 
 
+def _count_expansions(monkeypatch):
+    # how often each source word's boundary is expanded, as it happens
+    expanded = Counter()
+    expand = complexes.boundary_word_terms
+
+    def counting(algebra, word, variant="main"):
+        expanded[tuple(word)] += 1
+        return expand(algebra, word, variant)
+
+    monkeypatch.setattr(complexes, "boundary_word_terms", counting)
+    return expanded
+
+
 def test_homology_builds_top_columns_only_up_to_the_bound(monkeypatch):
     # del_N is ranked on m * dim F^(N-1) prefix candidates, one weight
     # block at a time, each built as the rank pulls it.  sl2 has no
@@ -465,35 +478,29 @@ def test_homology_builds_top_columns_only_up_to_the_bound(monkeypatch):
     # 144 of the 372 candidates in all.  doubleL2 has homology at F^4,
     # but only in some weights: the other blocks of del_5 meet their
     # bounds, or have bound 0 and build nothing, so 54 of its 240 are
-    # built
-    calls = []
-    pivot_values = complexes.LieBasisSlice.pivot_values
-
-    def counting(self, terms):
-        calls.append(self.degree)
-        return pivot_values(self, terms)
-
-    monkeypatch.setattr(complexes.LieBasisSlice, "pivot_values", counting)
+    # built.  A column is built by expanding its source word's boundary
+    expanded = _count_expansions(monkeypatch)
     rep = homology(catalog.get("sl2"), max_degree=7)
     assert rep["ranks"][7] == rep["dims"][6] - rep["ranks"][6] == 91
-    assert calls == [6] * 144 and 144 < 3 * free_lie_basis(3, 6).dim == 372
-    calls.clear()
+    top = [w for w in expanded if len(w) == 7]
+    assert len(top) == 144 < 3 * free_lie_basis(3, 6).dim == 372
+    expanded.clear()
     rep = homology(catalog.get("doubleL2"), max_degree=5)
     assert rep["ranks"][5] == 44 < rep["dims"][4] - rep["ranks"][4] == 47
-    assert calls == [4] * 54 and 54 < 4 * free_lie_basis(4, 4).dim == 240
+    top = [w for w in expanded if len(w) == 5]
+    assert len(top) == 54 < 4 * free_lie_basis(4, 4).dim == 240
 
 
 def test_homology_builds_each_boundary_once(monkeypatch):
-    # del_2..del_(N-1) are one boundary_matrix call each, and del_L comes
-    # from one pass of its prefix recursion, each degree built once.
-    # Building degrees 2..n afresh for each n would build 7,248 columns
-    # for doubleL2 to 6 and 16,332 for L2 to 12
-    assembled, passes, columns = [], [], []
-    assemble, degrees = complexes.boundary_matrix, complexes._loday_degrees
-
-    def assembling(algebra, n):
-        assembled.append(n)
-        return assemble(algebra, n)
+    # no source word's boundary is expanded twice in one homology call,
+    # and below the top degree the source words are basis words.  del_L
+    # comes from one pass of its prefix recursion, each degree built
+    # once, m^d columns at degree d.  Building degrees 2..n afresh for
+    # each n would build 7,248 columns for doubleL2 to 6 and 16,332 for
+    # L2 to 12
+    expanded = _count_expansions(monkeypatch)
+    passes, columns = [], []
+    degrees = complexes._loday_degrees
 
     def passing(algebra, n):
         passes.append(n)
@@ -501,16 +508,18 @@ def test_homology_builds_each_boundary_once(monkeypatch):
             columns.append(len(cols))
             yield cols
 
-    monkeypatch.setattr(complexes, "boundary_matrix", assembling)
     monkeypatch.setattr(complexes, "_loday_degrees", passing)
     for name, N, built in (("doubleL2", 6, 5456), ("L2", 12, 8188)):
         A = catalog.get(name)
         homology(A, N, loday=True)
-        assert assembled == list(range(2, N)), name
+        assert set(expanded.values()) == {1}, name
+        for n in range(2, N):
+            below = {w for w in expanded if len(w) == n}
+            assert below <= set(free_lie_basis(A.dim, n).words), (name, n)
         assert passes == [N], name
         assert columns == [A.dim ** d for d in range(2, N + 1)], name
         assert sum(columns) == built, name
-        for calls in (assembled, passes, columns):
+        for calls in (expanded, passes, columns):
             calls.clear()
 
 
@@ -696,6 +705,115 @@ def test_ker2_image_condition_matches_the_two_bracket_terms():
             assert rep["image_failures"] == want, (name, sub)
             with_failures += bool(want)
     assert with_failures == 13
+
+
+def test_symmetric_ideal_is_the_image_of_del_2(monkeypatch):
+    # del{u, v} = [u, v] + [v, u] over the basis words {u, v} of F^2, so
+    # Im(del_2) is the symmetric ideal I and ker2_invariance_reports
+    # reads kernel_dim = dim F^2 - dim I off it, neither assembling nor
+    # ranking del_2; the reference is the rank of the assembled del_2
+    cases = [catalog.get(name) for name in catalog.VALID_NAMES]
+    cases.append(parse_algebra_file(SL2_CONJ0))
+    for A in cases:
+        assert rank(boundary_matrix(A, 2)) == \
+            len(symmetric_ideal(A)[0]), A.name
+    assembled = []
+    assemble = complexes.boundary_matrix
+
+    def assembling(algebra, n):
+        assembled.append(n)
+        return assemble(algebra, n)
+
+    def ranking(*args, **kwargs):
+        raise AssertionError("ker2_invariance_reports ranks a boundary")
+
+    monkeypatch.setattr(complexes, "boundary_matrix", assembling)
+    monkeypatch.setattr(complexes, "rank", ranking)
+    for A in cases:
+        rep, = ker2_invariance_reports(A, [(1,)])
+        assert rep["kernel_dim"] == len(kernel2_basis(A)), A.name
+        assert assembled == [3], A.name
+        assembled.clear()
+
+
+def test_omega0_is_ha1_of_a_lie_algebra():
+    # For a Lie algebra I = 0, so rank del_2 = 0, and F^2 is S^2 g (the
+    # embedding of {x, y} is symmetric).  With the tail term gone,
+    # del{x, y, z} = [x,y].z + y.[x,z] in S^2 g, and at (y, z, x) that is
+    # [y,z].x + z.[y,x] = -([x,y].z - x.[y,z]), minus omega0's relation
+    # at (x, y, z).  So Im(del_3) is the span of the relations, and
+    # HA_1 = dim F^2 - rank del_3 = dim S^2 g / relations = omega0's dim
+    cases = [catalog.get(name) for name in catalog.VALID_NAMES]
+    cases = [A for A in cases if A.is_antisymmetric()]
+    cases.append(parse_algebra_file(SL2_CONJ0))
+    assert len(cases) == 7
+    for A in cases:
+        assert omega0(A)["dim"] == homology(A, 3)["HA"][1], A.name
+
+
+def _letterwise(algebra):
+    # L_a: replace each letter x of a tensor word in turn by [a, x]
+    def act(a, terms):
+        out = {}
+        for w, c in terms.items():
+            for i, x in enumerate(w):
+                for k, cb in algebra.bracket(a, x).items():
+                    _add_term(out, w[:i] + (k,) + w[i + 1:], c * cb)
+        return out
+    return act
+
+
+def _cartan_failures(A, act):
+    # (a, w) where L_a w != del i_a w + i_a del w, i_a(w) = (a,) + w: on
+    # tensor words of length 1 to 4 with del_L, and on the basis words of
+    # F^2..F^4 with del, compared through the embedding, which act reads
+    failures = []
+    for a in range(1, A.dim + 1):
+        def i_a(terms):
+            return {(a,) + w: c for w, c in terms.items()}
+
+        for n in range(1, 5):
+            for w in tensor_words(A.dim, n):
+                rhs = _combine(loday_apply(A, {(a,) + w: 1}),
+                               i_a(loday_apply(A, {w: 1})))
+                if act(a, {w: 1}) != rhs:
+                    failures.append((a, w))
+        for n in range(2, 5):
+            for w in free_lie_basis(A.dim, n).words:
+                rhs = _combine(boundary_word_terms(A, (a,) + w),
+                               i_a(boundary_word_terms(A, w)))
+                if act(a, embedded_word(w)) != _extend(rhs, embedded_word):
+                    failures.append((a, w))
+    return failures
+
+
+def test_cartan_homotopy_identity():
+    # L_a = del o i_a + i_a o del, L_a the letter-wise action of DGLA.act.
+    # On T^n it is the del_L recursion del_L(a (x) u) = a.u - a (x)
+    # del_L(u); on F^n it holds from n = 2.  At n = 1, del{a, b} = [a, b]
+    # + [b, a] while L_a b = [a, b], so it fails exactly where [b, a] != 0
+    for name in catalog.VALID_NAMES:
+        A = catalog.get(name)
+        dg = DGLA(A, max_degree=2)
+
+        def act(a, terms):
+            return dg.act({a: 1}, terms)
+
+        assert _cartan_failures(A, act) == [], name
+        letters = range(1, A.dim + 1)
+        at_one = {(a, b) for a in letters for b in letters
+                  if act(a, {(b,): 1}) != _extend(
+                      boundary_word_terms(A, (a, b)), embedded_word)}
+        assert at_one == {(a, b) for (b, a), _ in A.items()}, name
+
+
+def test_cartan_homotopy_check_fails_on_a_wrong_action():
+    # one structure constant of sl2 changed in the action alone
+    A = catalog.get("sl2")
+    wrong = {ij: dict(entry) for ij, entry in A.items()}
+    wrong[1, 2][2] += 1
+    assert _cartan_failures(A, _letterwise(A)) == []
+    assert _cartan_failures(A, _letterwise(LeibnizAlgebra(3, wrong)))
 
 
 def test_dgla_component_dims():
