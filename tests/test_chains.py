@@ -474,8 +474,10 @@ def _count_expansions(monkeypatch):
 def test_homology_builds_top_columns_only_up_to_the_bound(monkeypatch):
     # del_N is ranked on m * dim F^(N-1) prefix candidates, one weight
     # block at a time, each built as the rank pulls it.  sl2 has no
-    # homology at F^6, so every block of del_7 meets its bound, after
-    # 144 of the 372 candidates in all.  doubleL2 has homology at F^4,
+    # homology at F^6, so every block of del_7 meets its bound: the
+    # blocks of nonzero toral weight build nothing, and the others reach
+    # their bounds after 44 of the 372 candidates in all (144 when every
+    # block was ranked).  doubleL2 has homology at F^4,
     # but only in some weights: the other blocks of del_5 meet their
     # bounds, or have bound 0 and build nothing, so 54 of its 240 are
     # built.  A column is built by expanding its source word's boundary
@@ -483,7 +485,7 @@ def test_homology_builds_top_columns_only_up_to_the_bound(monkeypatch):
     rep = homology(catalog.get("sl2"), max_degree=7)
     assert rep["ranks"][7] == rep["dims"][6] - rep["ranks"][6] == 91
     top = [w for w in expanded if len(w) == 7]
-    assert len(top) == 144 < 3 * free_lie_basis(3, 6).dim == 372
+    assert len(top) == 44 < 3 * free_lie_basis(3, 6).dim == 372
     expanded.clear()
     rep = homology(catalog.get("doubleL2"), max_degree=5)
     assert rep["ranks"][5] == 44 < rep["dims"][4] - rep["ranks"][4] == 47
@@ -814,6 +816,111 @@ def test_cartan_homotopy_check_fails_on_a_wrong_action():
     wrong[1, 2][2] += 1
     assert _cartan_failures(A, _letterwise(A)) == []
     assert _cartan_failures(A, _letterwise(LeibnizAlgebra(3, wrong)))
+
+
+def _deletion(terms):
+    # delta(u) = sum_i (-1)^i u^_i (x) u_i: letter i moved to the end
+    out = {}
+    for w, c in terms.items():
+        for i, x in enumerate(w):
+            _add_term(out, w[:i] + w[i + 1:] + (x,), (-1) ** i * c)
+    return out
+
+
+def test_signed_letter_deletion_kills_embeddings():
+    # the lemma behind the Cartan homotopy on F^n: delta(eps(w)) = 0 for
+    # every bracket word of length >= 2, so del_L(eps(w) (x) a) =
+    # del_L(eps(w)) (x) a.  On a letter delta is the identity
+    for m, top in ((2, 7), (3, 5), (4, 4)):
+        for n in range(2, top + 1):
+            for w in tensor_words(m, n):
+                assert not _deletion(embedded_word(w)), w
+    assert _deletion(embedded_word((1,))) == {(1,): 1}
+    for name in catalog.VALID_NAMES:
+        A = catalog.get(name)
+        for n in range(2, 5):
+            for w in free_lie_basis(A.dim, n).words:
+                eps = embedded_word(w)
+                for a in range(1, A.dim + 1):
+                    tail = {u + (a,): c for u, c in eps.items()}
+                    assert loday_apply(A, tail) == {
+                        u + (a,): c for u, c in loday_apply(A, eps).items()
+                    }, (name, w, a)
+
+
+SOLVABLE2 = LeibnizAlgebra(2, {(1, 2): {2: 1}}, name="e1e2")
+
+
+def test_toral_finds_the_diagonal_elements():
+    # sl2 has h, [h, e] = 2e and [h, f] = -2f; [e1, e2] = e2 has e1.  A
+    # toral weight is a grading.  The other entries are nilpotent, and
+    # h is not diagonal in the conjugate's basis
+    found = {"sl2": (0, 2, -2), "e1e2": (0, 1)}
+    cases = [catalog.get(name) for name in catalog.VALID_NAMES]
+    cases += [SOLVABLE2, parse_algebra_file(SL2_CONJ0)]
+    for A in cases:
+        lams = complexes.toral(A)
+        assert len(lams) == (A.name in found), A.name
+        for lam in lams:
+            assert all(type(x) is int for x in lam), A.name
+            assert rank([dict(enumerate(lam)),
+                         dict(enumerate(found[A.name]))]) == 1, A.name
+            for (a, b), entry in A.items():
+                for k in entry:
+                    assert lam[k - 1] == lam[a - 1] + lam[b - 1], A.name
+
+
+def test_toral_skip_matches_ranking_every_block(monkeypatch):
+    # the reference ranks every block: toral() patched to find nothing
+    cases = ((catalog.get("sl2"), 8), (SOLVABLE2, 9))
+    skipped = [homology(A, N, loday=True) for A, N in cases]
+    monkeypatch.setattr(complexes, "toral", lambda A, letters=None: [])
+    assert skipped == [homology(A, N, loday=True) for A, N in cases]
+    assert skipped[0]["HL"] == {n: 0 for n in range(7)}
+
+
+def test_toral_skip_check_fails_on_a_wrong_skip(monkeypatch):
+    # heis3 has no toral element, so every block has toral weight 0; a
+    # grading passed off as toral skips blocks that carry homology
+    heis3 = catalog.get("heis3")
+    reference = homology(heis3, 6, loday=True)
+    monkeypatch.setattr(complexes, "toral", lambda A, letters=None: [
+        tuple(w[0] for w in complexes.grading(A))])
+    assert homology(heis3, 6, loday=True) != reference
+
+
+def test_toral_skip_starts_at_del_3(monkeypatch):
+    # the homotopy fails on F^1, where sl2 keeps HA_0 = 3 at weights 2
+    # and -2: a skip from del_2 on makes HA_0 lose them
+    ranks = complexes._ranks
+    monkeypatch.setattr(complexes, "_ranks",
+                        lambda w, blocks, toral, first:
+                        ranks(w, blocks, toral, 2))
+    assert homology(catalog.get("sl2"), 4)["HA"][0] == 1
+
+
+def test_homology_reads_out_every_degree(monkeypatch):
+    # no coordinate solve past F^1 (del_2 solves over the letters), and
+    # no column of nonzero toral weight is built from del_3 on
+    solved = []
+    coords = complexes.LieBasisSlice.coords
+
+    def recording(self, terms):
+        solved.append(self.degree)
+        return coords(self, terms)
+
+    monkeypatch.setattr(complexes.LieBasisSlice, "coords", recording)
+    expanded = _count_expansions(monkeypatch)
+    sl2 = catalog.get("sl2")
+    homology(sl2, 8)
+    [lam] = complexes.toral(sl2)
+    toral_weights = {len(w): set() for w in expanded}
+    for w in expanded:
+        toral_weights[len(w)].add(sum(lam[a - 1] for a in w))
+    assert toral_weights[2] == {-4, -2, 0, 2, 4}
+    assert all(toral_weights[n] == {0} for n in range(3, 9))
+    homology(catalog.get("doubleL2"), 7)
+    assert set(solved) == {1}
 
 
 def test_dgla_component_dims():
