@@ -79,9 +79,25 @@ class Unprojected(DGLA):
         return DRElement(one, out.terms)
 
 
+class SkewGl(DGLA):
+    """The degree-0 bracket gains (a1 b2 - a2 b1) times the class of e3.
+
+    The change is bilinear and antisymmetric, so antisymmetry still
+    holds and the battery's pass over sorted index sets has to find the
+    Jacobi and derivation failures itself.  On L2 and N3 the quotient
+    g/I is one-dimensional and the change vanishes, so only sl2 runs it.
+    """
+
+    def bracket(self, a, b):
+        out = super().bracket(a, b)
+        skew = (a.gl.get(1, 0) * b.gl.get(2, 0)
+                - a.gl.get(2, 0) * b.gl.get(1, 0))
+        return out + skew * DRElement(self.project({3: 1})) if skew else out
+
+
 SABOTEURS = (OneSidedStray, SymmetricStray, DroppedTerm, Unprojected)
 CASES = [(cls, name, N) for cls in SABOTEURS for name in ("L2", "N3", "sl2")
-         for N in (3, 4)]
+         for N in (3, 4)] + [(SkewGl, "sl2", N) for N in (3, 4)]
 
 
 def _key(cls, name, N):
