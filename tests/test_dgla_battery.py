@@ -41,6 +41,20 @@ class OneSidedStray(DGLA):
         return out if stray is None else out + stray
 
 
+class ReversedStray(OneSidedStray):
+    """The stray word on [x2, x1] alone, the pair out of index order.
+
+    Antisymmetry fails, and a pass over sorted index pairs and triples
+    alone would miss the Jacobi failures it causes.
+    """
+
+    def _stray(self, a, b):
+        x1, x2 = self.word_element((1,)), self.word_element((2,))
+        if a == x2 and b == x1:
+            return self.word_element(self.slices[2].words[0])
+        return None
+
+
 class SymmetricStray(OneSidedStray):
     """The stray word on both orders of the odd pair x1, x2.
 
@@ -95,7 +109,8 @@ class SkewGl(DGLA):
         return out + skew * DRElement(self.project({3: 1})) if skew else out
 
 
-SABOTEURS = (OneSidedStray, SymmetricStray, DroppedTerm, Unprojected)
+SABOTEURS = (OneSidedStray, ReversedStray, SymmetricStray, DroppedTerm,
+             Unprojected)
 CASES = [(cls, name, N) for cls in SABOTEURS for name in ("L2", "N3", "sl2")
          for N in (3, 4)] + [(SkewGl, "sl2", N) for N in (3, 4)]
 
