@@ -694,6 +694,17 @@ def dgla_suite(dg):
     the augmented composite vanishing on degree-2 boundaries.  Each
     check is a generator of failure witnesses.
 
+    Jacobi and the derivation rule are decided on one ordering per
+    orbit.  With J(a,b,c) = [a,[b,c]] - [[a,b],c] - (-1)^{|a||b|}[b,[a,c]]
+    and D(a,b) = d[a,b] - [da,b] - (-1)^{|a|}[a,db], a bilinear bracket
+    that is antisymmetric on basis pairs within the cutoff gives
+    J(b,a,c) = -(-1)^{|a||b|}J(a,b,c), J(a,c,b) = -(-1)^{|b||c|}J(a,b,c)
+    and, as |da| = |a| + 1 mod 2, D(b,a) = -(-1)^{|a||b|}D(a,b).  The
+    two transpositions generate S3, so when antisymmetry passes, index
+    sets i <= j <= k (i <= j for D) certify every ordering.  Failure
+    witnesses come from the full ordered sweep, in index order, which
+    runs only when antisymmetry fails or the sorted pass finds one.
+
     Before any check runs, the battery tabulates over the elements e_i
     of dg.basis(): prod[i, j] = [e_i, e_j] for each pair within the
     cutoff, in the sweeps' pair order, diff[i] = d e_i and diff2[i] =
@@ -710,7 +721,6 @@ def dgla_suite(dg):
             for j, b in enumerate(el) if parity[i] + parity[j] <= N}
     diff = [d(a) for a in el]
     diff2 = [d(da) for da in diff]
-    triples = list(product(range(1, m + 1), repeat=3))
     x = {i: len(dg.kept) + i - 1 for i in range(1, m + 1)}
 
     def letters(vec):
@@ -722,16 +732,33 @@ def dgla_suite(dg):
             if ab != (-((-1) ** (parity[i] * parity[j]))) * prod[j, i]:
                 yield repr(el[i]), repr(el[j])
 
+    skew = _outcome(antisymmetry())
+
+    def pairs(ordered):
+        return (p for p in prod if ordered or p[0] <= p[1])
+
+    def triples(ordered):
+        return ((i, j, k) for i, j in pairs(ordered)
+                for k in range(0 if ordered else j, len(el))
+                if parity[i] + parity[j] + parity[k] <= N)
+
+    def orbit_sweep(fails, tuples):
+        if skew["passed"] and not any(fails(*t) for t in tuples(False)):
+            return
+        for t in tuples(True):
+            if fails(*t):
+                yield tuple(repr(el[i]) for i in t)
+
+    def jacobi_fails(i, j, k):
+        return br(el[i], prod[j, k]) != br(prod[i, j], el[k]) + \
+            ((-1) ** (parity[i] * parity[j])) * br(el[j], prod[i, k])
+
+    def derivation_fails(i, j):
+        return d(prod[i, j]) != br(diff[i], el[j]) + \
+            ((-1) ** parity[i]) * br(el[i], diff[j])
+
     def jacobi():
-        for (i, j), ab in prod.items():
-            sign = (-1) ** (parity[i] * parity[j])
-            for k, c in enumerate(el):
-                if parity[i] + parity[j] + parity[k] > N:
-                    continue
-                lhs = br(el[i], prod[j, k])
-                rhs = br(ab, c) + sign * br(el[j], prod[i, k])
-                if lhs != rhs:
-                    yield repr(el[i]), repr(el[j]), repr(c)
+        return orbit_sweep(jacobi_fails, triples)
 
     def differential_squared():
         for a, dda in zip(el, diff2):
@@ -739,10 +766,7 @@ def dgla_suite(dg):
                 yield repr(a)
 
     def derivation():
-        for (i, j), ab in prod.items():
-            if d(ab) != br(diff[i], el[j]) + \
-                    ((-1) ** parity[i]) * br(el[i], diff[j]):
-                yield repr(el[i]), repr(el[j])
+        return orbit_sweep(derivation_fails, pairs)
 
     def derived_bracket():
         for i, j in product(range(1, m + 1), repeat=2):
@@ -750,7 +774,7 @@ def dgla_suite(dg):
                 yield i, j
 
     def lifted_identity_left():
-        for i, j, k in triples:
+        for i, j, k in product(range(1, m + 1), repeat=3):
             lhs = br(diff[x[i]], prod[x[j], x[k]])
             rhs = br(letters(algebra.bracket(i, j)), el[x[k]]) + \
                 br(el[x[j]], letters(algebra.bracket(i, k)))
@@ -758,10 +782,12 @@ def dgla_suite(dg):
                 yield i, j, k
 
     def lifted_identity_sym():
-        for i, j, k in triples:
-            lhs = br(d(prod[x[i], x[j]]), el[x[k]])
-            if lhs != br(letters(algebra.symmetrized(i, j)), el[x[k]]):
-                yield i, j, k
+        for i, j in product(range(1, m + 1), repeat=2):
+            dij = d(prod[x[i], x[j]])
+            sym = letters(algebra.symmetrized(i, j))
+            for k in range(1, m + 1):
+                if br(dij, el[x[k]]) != br(sym, el[x[k]]):
+                    yield i, j, k
 
     def ideal_acts_trivially():
         for row in dg.ideal_rows:
@@ -776,7 +802,8 @@ def dgla_suite(dg):
             if dd.gl:
                 yield w
 
-    checks = (antisymmetry, jacobi, differential_squared, derivation,
+    checks = (jacobi, differential_squared, derivation,
               derived_bracket, lifted_identity_left, lifted_identity_sym,
               ideal_acts_trivially, augmentation_kills_boundaries)
-    return {check.__name__: _outcome(check()) for check in checks}
+    return dict(antisymmetry=skew,
+                **{check.__name__: _outcome(check()) for check in checks})

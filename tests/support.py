@@ -1,6 +1,7 @@
 """References the tests compare the package against; the package never
 reads them."""
 
+from itertools import product
 from math import factorial
 
 from leibcx.complexes import boundary_matrix
@@ -15,6 +16,33 @@ def kernel2_basis(algebra):
     """
     cols = boundary_matrix(algebra, 2)
     return nullspace(transpose(cols, algebra.dim), len(cols))
+
+
+def ordered_dgla_sweeps(dg):
+    """Jacobi and derivation failures of a DGLA over every ordering.
+
+    Sweeps every ordered triple (for Jacobi) and pair (for the
+    derivation rule) of dg.basis() elements within the cutoff, in index
+    order, bracketing afresh at each; returns {"jacobi": [...],
+    "derivation": [...]}, each failure the tuple of its elements' reprs.
+    The reference for dgla_suite, which decides both identities on one
+    ordering per orbit once antisymmetry holds.
+    """
+    br, d, N = dg.bracket, dg.differential, dg.N
+    parity, el = zip(*dg.basis())
+    out = {"jacobi": [], "derivation": []}
+    for i, j in product(range(len(el)), repeat=2):
+        if parity[i] + parity[j] > N:
+            continue
+        a, b = el[i], el[j]
+        if d(br(a, b)) != br(d(a), b) + (-1) ** parity[i] * br(a, d(b)):
+            out["derivation"].append((repr(a), repr(b)))
+        sign = (-1) ** (parity[i] * parity[j])
+        for k, c in enumerate(el):
+            if parity[i] + parity[j] + parity[k] <= N and \
+                    br(a, br(b, c)) != br(br(a, b), c) + sign * br(b, br(a, c)):
+                out["jacobi"].append((repr(a), repr(b), repr(c)))
+    return out
 
 
 def projector_sweep(alphabet, max_length):

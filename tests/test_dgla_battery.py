@@ -21,6 +21,7 @@ import pytest
 from leibcx import catalog
 from leibcx.complexes import DGLA, DRElement, dgla_suite
 from leibcx.report import jsonable
+from support import ordered_dgla_sweeps
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 RECORD = os.path.join(HERE, "data", "sabotaged_batteries.json")
@@ -96,10 +97,10 @@ class Unprojected(DGLA):
 class SkewGl(DGLA):
     """The degree-0 bracket gains (a1 b2 - a2 b1) times the class of e3.
 
-    The change is bilinear and antisymmetric, so antisymmetry still
+    The added term is bilinear and antisymmetric, so antisymmetry still
     holds and the battery's pass over sorted index sets has to find the
     Jacobi and derivation failures itself.  On L2 and N3 the quotient
-    g/I is one-dimensional and the change vanishes, so only sl2 runs it.
+    g/I is one-dimensional and the term vanishes, so only sl2 runs it.
     """
 
     def bracket(self, a, b):
@@ -113,6 +114,11 @@ SABOTEURS = (OneSidedStray, ReversedStray, SymmetricStray, DroppedTerm,
              Unprojected)
 CASES = [(cls, name, N) for cls in SABOTEURS for name in ("L2", "N3", "sl2")
          for N in (3, 4)] + [(SkewGl, "sl2", N) for N in (3, 4)]
+
+
+# every valid catalog entry at 4, N3 at 5, and every saboteur
+REFERENCE_CASES = ([(DGLA, name, 4) for name in catalog.VALID_NAMES]
+                   + [(DGLA, "N3", 5)] + CASES)
 
 
 def _key(cls, name, N):
@@ -134,6 +140,16 @@ def test_sabotaged_battery_matches_record(cls, name, N):
     assert _battery(cls, name, N) == _recorded()[_key(cls, name, N)]
 
 
+@pytest.mark.parametrize("cls,name,N", REFERENCE_CASES,
+                         ids=[_key(*case) for case in REFERENCE_CASES])
+def test_orbit_sweeps_match_the_ordered_reference(cls, name, N):
+    dg = cls(catalog.get(name), max_degree=N)
+    checks = dgla_suite(dg)
+    for check, failures in ordered_dgla_sweeps(dg).items():
+        assert checks[check] == {"passed": not failures,
+                                 "failures": failures[:5]}, check
+
+
 def test_every_sweep_can_fail():
     # the record is not vacuous: each identity sweep fails somewhere
     failed = {check for result in _recorded().values()
@@ -144,8 +160,10 @@ def test_every_sweep_can_fail():
 
 
 def test_battery_brackets_each_basis_pair_once(monkeypatch):
-    # one table of basis brackets and one of differentials; sweeps that
-    # bracket inside each check make 62,436 and 3,732 calls here
+    # one table of basis brackets and one of differentials, and Jacobi
+    # and the derivation rule on one ordering per orbit; the ordered
+    # sweeps make 31,884 and 1,384 calls here, and sweeps that bracket
+    # inside each check 62,436 and 3,732
     calls = {"bracket": 0, "differential": 0}
     bracket, differential = DGLA.bracket, DGLA.differential
 
@@ -161,7 +179,7 @@ def test_battery_brackets_each_basis_pair_once(monkeypatch):
     monkeypatch.setattr(DGLA, "differential", counted_differential)
     checks = dgla_suite(DGLA(catalog.get("abelian4"), 4))
     assert all(v["passed"] for v in checks.values())
-    assert calls["bracket"] <= 32100 and calls["differential"] <= 1500, calls
+    assert calls["bracket"] <= 8100 and calls["differential"] <= 800, calls
 
 
 def record():
