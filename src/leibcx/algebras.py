@@ -94,7 +94,7 @@ class LeibnizAlgebra:
                         self.bracket_vectors({j: 1}, self.bracket(i, k)))
                     if lhs != rhs:
                         failures.append(((i, j, k), lhs, rhs))
-        return ValidationReport(self, failures)
+        return ValidationReport(failures)
 
     def is_antisymmetric(self):
         for i in range(1, self.dim + 1):
@@ -111,10 +111,9 @@ class LeibnizAlgebra:
 
 
 class ValidationReport:
-    __slots__ = ("algebra", "failures")
+    __slots__ = ("failures",)
 
-    def __init__(self, algebra, failures):
-        self.algebra = algebra
+    def __init__(self, failures):
         self.failures = failures
 
     @property
@@ -286,7 +285,8 @@ def coad_right(algebra, a, i):
 
 
 def require_dim(cochain, dim):
-    """Refuse a cochain (scalar or dual-valued) that is not on Q^dim."""
+    """Refuse a cochain that is not on Q^dim (lp_coboundary and
+    require_twist call it)."""
     if cochain.dim != dim:
         raise InputError("cochain dimension does not match the algebra")
 

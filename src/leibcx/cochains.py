@@ -1,16 +1,14 @@
 """Cochains on a Leibniz algebra and the anti-cyclic subcomplex.
 
-A scalar cochain of arity a assigns a rational to every length-a word of
-basis indices.  A dual-valued cochain assigns a dual vector; lowering it
-against the canonical pairing on the double gives a scalar cochain one
-arity up, with a sign (the pairing puts the dual slot first).
-
-The coboundary on scalar cochains precomposes with the bracket-word
-expansion of the boundary; on dual-valued cochains the differential uses
-the left/right coadjoint actions of algebras.py, the pair that also
-builds the mixed products of the double.  The two are intertwined by
-lowering, up to the sign (-1)^arity, and that compatibility is one of
-the certified statements.
+A cochain of arity a assigns a rational to every length-a word of basis
+indices, and its coboundary precomposes with the bracket-word expansion
+of the boundary.  The dual-valued cochains of Loday and Pirashvili, with
+their differential through the coadjoint actions, need no code here:
+lowering one against the canonical pairing of the double gives a cochain
+one arity up, and lowering turns their differential into the coboundary,
+up to the sign (-1)^arity.  That identity is formal, term by term, and
+holds for every bilinear bracket, Leibniz or not.  tests/support.py
+keeps the dual-valued differential and the lowering as its reference.
 
 A scalar cochain A of arity n+1 is anti-cyclic when evaluating it on the
 tensor expansion of the bracket word w returns (n+1) A(w) for every w.
@@ -34,8 +32,7 @@ coboundary word by word, is the tests' reference.
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebras import (coad_left, coad_right, require_dim, require_leibniz,
-                       require_twist)
+from .algebras import require_dim, require_leibniz, require_twist
 from .errors import InputError
 from .exactla import SparseEchelon, _echelon, nullspace, transpose
 from .words import (_add_term, _combine, _extend, embedded_word,
@@ -44,27 +41,7 @@ from .complexes import (boundary_matrix, boundary_word_terms, free_lie_basis,
                         homology)
 
 
-class _CochainBase:
-    """Equality, hashing and repr shared by the two kinds of cochain."""
-
-    __slots__ = ()
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (type(other) is type(self) and self.arity == other.arity
-                and self.dim == other.dim and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.arity, self.dim, frozenset(self.coeffs.items())))
-
-    def __repr__(self):
-        return (f"{type(self).__name__}(arity={self.arity}, dim={self.dim}, "
-                f"{len(self.coeffs)} coefficients)")
-
-
-class Cochain(_CochainBase):
+class Cochain:
     """Scalar cochain: {word: Fraction} over length-arity index words."""
 
     __slots__ = ("arity", "dim", "coeffs")
@@ -90,6 +67,9 @@ class Cochain(_CochainBase):
     def coefficient(self, word):
         return self.coeffs.get(tuple(word), Fraction(0))
 
+    def is_zero(self):
+        return not self.coeffs
+
     def apply_terms(self, terms):
         """Evaluate linearly on {word: coeff} terms."""
         total = Fraction(0)
@@ -112,85 +92,16 @@ class Cochain(_CochainBase):
         return Cochain(self.arity, self.dim,
                        {w: scalar * c for w, c in self.coeffs.items()})
 
+    def __eq__(self, other):
+        return (type(other) is Cochain and self.arity == other.arity
+                and self.dim == other.dim and self.coeffs == other.coeffs)
 
-class DualValuedCochain(_CochainBase):
-    """Cochain with values in the dual space: {(word, l): Fraction}."""
+    def __hash__(self):
+        return hash((self.arity, self.dim, frozenset(self.coeffs.items())))
 
-    __slots__ = ("arity", "dim", "coeffs", "_values")
-
-    def __init__(self, arity, dim, coeffs=None):
-        if arity < 0 or dim < 1:
-            raise InputError("bad arity or dimension")
-        self.arity = arity
-        self.dim = dim
-        self.coeffs = {}
-        self._values = {}     # word -> {l: Fraction}, the same entries
-        for (w, l), c in (coeffs or {}).items():
-            w = tuple(w)
-            if len(w) != arity:
-                raise InputError(
-                    f"argument word {w} has length != arity {arity}")
-            if not (isinstance(l, int) and 1 <= l <= dim):
-                raise InputError(f"dual index {l!r} out of range 1..{dim}")
-            c = Fraction(c)
-            if c:
-                self.coeffs[(w, l)] = c
-                self._values.setdefault(w, {})[l] = c
-
-    def value(self, word):
-        """Dual vector at a word, as {l: Fraction}."""
-        return dict(self._values.get(tuple(word), {}))
-
-
-
-def lower(f):
-    """Scalar shadow of a dual-valued cochain against the double pairing.
-
-    (lower f)(x_1..x_a, x) = pairing(f(x_1..x_a), x) = -<x, f(...)>, so
-    the coefficient at word + (l,) is minus the dual coefficient.
-    """
-    out = {}
-    for (w, l), c in f.coeffs.items():
-        out[w + (l,)] = -c
-    return Cochain(f.arity + 1, f.dim, out)
-
-
-def lp_differential(algebra, f):
-    """Differential of a dual-valued cochain, arity n -> n+1.
-
-    (d f)(x_1..x_{n+1}) = [f(x_1..x_n), x_{n+1}]
-        + sum_{i=1..n} (-1)^(i+n) [x_i, f(x_1..^i..x_{n+1})]
-        - sum_{i<j}    (-1)^(i+n) f(x_1..^i.., [x_i,x_j], ..x_{n+1})
-
-    A cochain of another dimension than the algebra raises InputError.
-    """
-    require_dim(f, algebra.dim)
-    m = f.dim
-    n = f.arity
-    out = {}
-    for w in tensor_words(m, n + 1):
-        val = {}
-        head = f.value(w[:n])
-        if head:
-            for j, c in coad_right(algebra, head, w[n]).items():
-                _add_term(val, j, c)
-        for i0 in range(n):
-            sign = (-1) ** (i0 + 1 + n)
-            fv = f.value(w[:i0] + w[i0 + 1:])
-            if fv:
-                for j, c in coad_left(algebra, w[i0], fv).items():
-                    _add_term(val, j, sign * c)
-        for i0 in range(n + 1):
-            sign = (-1) ** (i0 + n)  # minus times (-1)^(i+n), 1-based i
-            for j0 in range(i0 + 1, n + 1):
-                for k, cb in algebra.bracket(w[i0], w[j0]).items():
-                    nw = w[:i0] + w[i0 + 1:j0] + (k,) + w[j0 + 1:]
-                    fv = f.value(nw)
-                    for l, c in fv.items():
-                        _add_term(val, l, sign * cb * c)
-        for l, c in val.items():
-            out[(w, l)] = c
-    return DualValuedCochain(n + 1, m, out)
+    def __repr__(self):
+        return (f"Cochain(arity={self.arity}, dim={self.dim}, "
+                f"{len(self.coeffs)} coefficients)")
 
 
 def lp_coboundary(algebra, cochain):

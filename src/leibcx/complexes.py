@@ -110,10 +110,6 @@ class LieBasisSlice:
                     _add_term(out, row, c * k)
         return out
 
-    def element(self, coords):
-        """The bracket-word term dict with the given coordinates."""
-        return {self.words[p]: c for p, c in coords.items() if c}
-
 
 @lru_cache(maxsize=None)
 def free_lie_basis(m, degree):
@@ -301,7 +297,7 @@ def grading(algebra):
     return [tuple(v.get(i, 0) for v in basis) for i in range(algebra.dim)]
 
 
-def toral(algebra, letters=None):
+def toral(algebra, letters):
     """Integer letter weights of the toral elements of the algebra.
 
     x = sum_a x_a e_a is toral when [x, e_b] = lambda_b e_b for every b:
@@ -313,8 +309,6 @@ def toral(algebra, letters=None):
     the finest grading is zero (letters, as grading() gives it) [] comes
     back with nothing solved.
     """
-    if letters is None:
-        letters = grading(algebra)
     if not any(letters):
         return []
     m = algebra.dim

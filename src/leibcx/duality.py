@@ -77,10 +77,6 @@ class DualBracketSum:
         """The honest tensor term dict behind the symbolic sum."""
         return _extend(self.terms, dual_bracket_word)
 
-    def scalar(self):
-        """Coefficient of the empty word (after full contraction)."""
-        return self.terms.get((), Fraction(0))
-
     def as_vector(self):
         """Length-1 words as a coordinate vector {symbol: coeff}."""
         out = {}

@@ -33,13 +33,13 @@ from .algebras import LeibnizAlgebra
 from .cochains import Cochain
 from .errors import InputError
 
-_RATIONAL_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 def rational_from_string(s):
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
-    if not isinstance(s, str) or not _RATIONAL_RE.match(s):
+    if not isinstance(s, str) or not _RATIONAL_RE.fullmatch(s):
         raise InputError(
             f"bad rational {s!r}; expected \"p\" or \"p/q\" with q > 0")
     try:

@@ -4,9 +4,11 @@ reads them."""
 from itertools import product
 from math import factorial
 
+from leibcx.algebras import coad_left, coad_right
+from leibcx.cochains import Cochain
 from leibcx.complexes import boundary_matrix
 from leibcx.exactla import nullspace, transpose
-from leibcx.words import _extend, embedded_word, tensor_words
+from leibcx.words import _add_term, _extend, embedded_word, tensor_words
 
 
 def kernel2_basis(algebra):
@@ -16,6 +18,64 @@ def kernel2_basis(algebra):
     """
     cols = boundary_matrix(algebra, 2)
     return nullspace(transpose(cols, algebra.dim), len(cols))
+
+
+def slice_element(sl, coords):
+    """The bracket-word term dict with the given coordinates over sl."""
+    return {sl.words[p]: c for p, c in coords.items() if c}
+
+
+def dual_differential(algebra, f, arity):
+    """Differential of a dual-valued cochain, arity n -> n+1.
+
+    f is {(word, l): coeff}, the coefficient of the dual basis vector
+    e^l in the value at a length-n word; so is the result.
+
+    (d f)(x_1..x_{n+1}) = [f(x_1..x_n), x_{n+1}]
+        + sum_{i=1..n} (-1)^(i+n) [x_i, f(x_1..^i..x_{n+1})]
+        - sum_{i<j}    (-1)^(i+n) f(x_1..^i.., [x_i,x_j], ..x_{n+1})
+
+    (Loday and Pirashvili, Math. Ann. 296, 1993), with the brackets of
+    dual and basis vectors the coadjoint actions.  The reference for
+    the lowering identity: lp_coboundary(lower f) equals (-1)^n times
+    lower(d f) for every bilinear bracket.
+    """
+    n = arity
+    values = {}
+    for (w, l), c in f.items():
+        values.setdefault(w, {})[l] = c
+    out = {}
+    for w in tensor_words(algebra.dim, n + 1):
+        val = {}
+        head = values.get(w[:n])
+        if head:
+            for j, c in coad_right(algebra, head, w[n]).items():
+                _add_term(val, j, c)
+        for i0 in range(n):
+            fv = values.get(w[:i0] + w[i0 + 1:])
+            if fv:
+                for j, c in coad_left(algebra, w[i0], fv).items():
+                    _add_term(val, j, (-1) ** (i0 + 1 + n) * c)
+        for i0 in range(n + 1):
+            sign = (-1) ** (i0 + n)  # minus times (-1)^(i+n), 1-based i
+            for j0 in range(i0 + 1, n + 1):
+                for k, cb in algebra.bracket(w[i0], w[j0]).items():
+                    nw = w[:i0] + w[i0 + 1:j0] + (k,) + w[j0 + 1:]
+                    for l, c in values.get(nw, {}).items():
+                        _add_term(val, l, sign * cb * c)
+        for l, c in val.items():
+            out[(w, l)] = c
+    return out
+
+
+def lower(f, arity, dim):
+    """Scalar shadow of a dual-valued cochain against the double pairing.
+
+    (lower f)(x_1..x_n, x) = pairing(f(x_1..x_n), x) = -<x, f(...)>, so
+    the coefficient at word + (l,) is minus the dual coefficient; f is
+    {(word, l): coeff} of the given arity, the result a Cochain.
+    """
+    return Cochain(arity + 1, dim, {w + (l,): -c for (w, l), c in f.items()})
 
 
 def ordered_dgla_sweeps(dg):

@@ -21,7 +21,8 @@ from leibcx.exactla import SparseEchelon, rank
 from leibcx.fileio import parse_algebra_file
 from leibcx.words import (_add_term, _combine, _extend, embedded_word,
                           super_commutator, tensor_words)
-from support import kernel2_basis, superwitt_multidegree_dim
+from support import (kernel2_basis, slice_element,
+                     superwitt_multidegree_dim)
 
 FROZEN_DIMS = {
     1: [1, 1, 0, 0, 0],
@@ -46,7 +47,7 @@ def test_slice_coords_round_trip():
     # {2,1,1} = -2 {1,1,2}: head 2 against the symmetric pair {1,1}
     coords = sl.coords({(2, 1, 1): Fraction(1)})
     assert coords == {0: Fraction(-2)}
-    assert (_extend(sl.element(coords), embedded_word)
+    assert (_extend(slice_element(sl, coords), embedded_word)
             == _extend({(2, 1, 1): 1}, embedded_word))
 
 
@@ -859,7 +860,7 @@ def test_toral_finds_the_diagonal_elements():
     cases = [catalog.get(name) for name in catalog.VALID_NAMES]
     cases += [SOLVABLE2, parse_algebra_file(SL2_CONJ0)]
     for A in cases:
-        lams = complexes.toral(A)
+        lams = complexes.toral(A, complexes.grading(A))
         assert len(lams) == (A.name in found), A.name
         for lam in lams:
             assert all(type(x) is int for x in lam), A.name
@@ -874,7 +875,7 @@ def test_toral_skip_matches_ranking_every_block(monkeypatch):
     # the reference ranks every block: toral() patched to find nothing
     cases = ((catalog.get("sl2"), 8), (SOLVABLE2, 9))
     skipped = [homology(A, N, loday=True) for A, N in cases]
-    monkeypatch.setattr(complexes, "toral", lambda A, letters=None: [])
+    monkeypatch.setattr(complexes, "toral", lambda A, letters: [])
     assert skipped == [homology(A, N, loday=True) for A, N in cases]
     assert skipped[0]["HL"] == {n: 0 for n in range(7)}
 
@@ -884,7 +885,7 @@ def test_toral_skip_check_fails_on_a_wrong_skip(monkeypatch):
     # grading passed off as toral skips blocks that carry homology
     heis3 = catalog.get("heis3")
     reference = homology(heis3, 6, loday=True)
-    monkeypatch.setattr(complexes, "toral", lambda A, letters=None: [
+    monkeypatch.setattr(complexes, "toral", lambda A, letters: [
         tuple(w[0] for w in complexes.grading(A))])
     assert homology(heis3, 6, loday=True) != reference
 
@@ -913,7 +914,7 @@ def test_homology_reads_out_every_degree(monkeypatch):
     expanded = _count_expansions(monkeypatch)
     sl2 = catalog.get("sl2")
     homology(sl2, 8)
-    [lam] = complexes.toral(sl2)
+    [lam] = complexes.toral(sl2, complexes.grading(sl2))
     toral_weights = {len(w): set() for w in expanded}
     for w in expanded:
         toral_weights[len(w)].add(sum(lam[a - 1] for a in w))
@@ -972,7 +973,7 @@ def test_dgla_differential_matches_boundary_matrix():
             cols = boundary_matrix(A, n)
             for p, w in enumerate(dg.slices[n].words):
                 got = dg.differential(dg.word_element(w)).terms
-                want = _extend(dg.slices[n - 1].element(cols[p]),
+                want = _extend(slice_element(dg.slices[n - 1], cols[p]),
                                embedded_word)
                 assert got == want, (name, w)
 

@@ -165,11 +165,20 @@ def test_rational_strings():
     assert rational_from_string("-2") == -2
     # the last two pass the pattern but exceed the digit limit of int()
     for bad in ("3/0", "3/-4", "1.5", "a", "2/4/8", "", True, False,
-                "1" * 5000, "1/" + "1" * 5000):
+                "1\n", "3/4\n", "1" * 5000, "1/" + "1" * 5000):
         with pytest.raises(InputError):
             rational_from_string(bad)
     assert rational_to_string(rational_from_string("-6/4")) == "-3/2"
     assert rational_to_string(rational_from_string("8/4")) == "2"
+
+
+def test_rational_with_a_trailing_newline_exits_2(tmp_path, capsys):
+    # Fraction strips the newline, so only the pattern can refuse it
+    algebra = tmp_path / "L2.json"
+    algebra.write_text(json.dumps({"dim": 2, "brackets": [
+        {"left": 1, "right": 1, "value": [[2, "1\n"]]}]}))
+    code, out, err = run(capsys, "validate", str(algebra))
+    assert code == 2 and out == "" and "bad rational" in err
 
 
 def test_algebra_doc_validation():

@@ -30,7 +30,7 @@ def test_contraction_frozen():
     # i_g {2,3}* = g(2) {3}* + g(3) {2}* = {2}*
     assert c2.terms == {(2,): 1}
     c3 = contract({2: Fraction(1)}, c2)
-    assert c3.scalar() == 1
+    assert c3.terms.get(()) == 1
     assert c3.terms == {(): 1}
 
 
