@@ -12,39 +12,34 @@
 
 ALGEBRA is a JSON file path or catalog:NAME.  Exit codes: 0 all checks
 passed, 1 a mathematical check failed, 2 malformed input.
+
+Only argparse, sys and errors are imported at the top.  Each command and
+check suite imports what it calls at its head, so a cold process compiles
+only the modules its command runs: validate catalog:NAME loads catalog,
+algebras, exactla, words and report; homology adds complexes; cohomology
+adds cochains too.
 """
 
 import argparse
 import sys
 
-from . import catalog as _catalog
-from .algebras import (check_anti_invariance, double, liezation,
-                       require_leibniz)
-from .cochains import (anti_cyclic_constraint_rows, cohomology,
-                       same_row_space, subcomplex_report,
-                       symmetry_identity_rows)
-from .complexes import (boundary_square_report, dgla_suite, homology,
-                        intertwining_report, ker2_invariance_reports, omega0,
-                        DGLA)
-from .duality import recovery_report, rotation_sum_report
 from .errors import InputError
-from .fileio import (algebra_to_doc, parse_algebra_file, parse_cochain_file,
-                     rational_to_string)
-from .report import canonical_json, jsonable, vector_doc
-from .words import projector_report
 
 SUITES = ("complex", "subcomplex", "dr", "anticyclic", "dual", "all")
 
 
 def _resolve_algebra(source):
     if source.startswith("catalog:"):
+        from . import catalog
         name = source[len("catalog:"):]
-        return _catalog.get(name), name
+        return catalog.get(name), name
+    from .fileio import parse_algebra_file
     return parse_algebra_file(source), None
 
 
 def _emit(report, args, exit_code, payload=None):
     """Print report; -o writes payload (default: report) as canonical JSON."""
+    from .report import canonical_json
     text = canonical_json(report)
     if args.output:
         try:
@@ -61,6 +56,7 @@ def _emit(report, args, exit_code, payload=None):
 
 def _print_text(report, indent=0):
     import json as _json
+    from .report import jsonable
     pad = "  " * indent
     for key in sorted(report, key=str):
         val = report[key]
@@ -72,6 +68,7 @@ def _print_text(report, indent=0):
 
 
 def _cmd_validate(args):
+    from .report import vector_doc
     algebra, _ = _resolve_algebra(args.algebra)
     result = algebra.validate()
     failures = [{"triple": list(t), "lhs": vector_doc(lhs),
@@ -84,6 +81,9 @@ def _cmd_validate(args):
 
 
 def _cmd_liezation(args):
+    from .algebras import liezation
+    from .fileio import algebra_to_doc
+    from .report import rational_to_string
     algebra, _ = _resolve_algebra(args.algebra)
     quotient, projection, kept = liezation(algebra)
     report = {
@@ -99,11 +99,23 @@ def _cmd_liezation(args):
     return _emit(report, args, 0)
 
 
-_TABLES = {
-    "homology": lambda alg, args: homology(alg, args.max_degree, args.loday),
-    "cohomology": lambda alg, args: cohomology(alg, args.max_degree),
-    "omega0": lambda alg, args: omega0(alg),
-}
+def _homology(algebra, args):
+    from .complexes import homology
+    return homology(algebra, args.max_degree, args.loday)
+
+
+def _cohomology(algebra, args):
+    from .cochains import cohomology
+    return cohomology(algebra, args.max_degree)
+
+
+def _omega0(algebra, args):
+    from .complexes import omega0
+    return omega0(algebra)
+
+
+_TABLES = {"homology": _homology, "cohomology": _cohomology,
+           "omega0": _omega0}
 
 
 def _cmd_table(args):
@@ -117,6 +129,8 @@ def _cmd_table(args):
 
 
 def _cmd_double(args):
+    from .algebras import check_anti_invariance, double
+    from .fileio import algebra_to_doc, parse_cochain_file
     algebra, _ = _resolve_algebra(args.algebra)
     cocycle = parse_cochain_file(args.cocycle) if args.cocycle else None
     dbl, omega = double(algebra, cocycle)
@@ -132,6 +146,7 @@ def _cmd_double(args):
 
 
 def _cmd_dr(args):
+    from .complexes import DGLA, dgla_suite
     algebra, _ = _resolve_algebra(args.algebra)
     dg = DGLA(algebra, max_degree=args.max_degree)
     checks = dgla_suite(dg)
@@ -144,6 +159,7 @@ def _cmd_dr(args):
 
 
 def _suite_complex(algebra, name, N):
+    from .complexes import boundary_square_report, intertwining_report
     sq = boundary_square_report(algebra, max_degree=min(N, 5))
     tw = intertwining_report(algebra, max_length=min(N, 5))
     return {
@@ -155,12 +171,15 @@ def _suite_complex(algebra, name, N):
 
 
 def _suite_subcomplex(algebra, name, N):
+    from . import catalog
+    from .cochains import subcomplex_report
+    from .complexes import ker2_invariance_reports
     out = {}
     for n in range(0, N - 1):
         rep = subcomplex_report(algebra, n)
         out[f"anti_cyclic_preserved_degree_{n}"] = rep["preserved"]
         out[f"coboundary_is_transpose_degree_{n}"] = rep["transpose"]
-    subs = _catalog.lie_subalgebras(name) if name else ()
+    subs = catalog.lie_subalgebras(name) if name else ()
     if not subs and algebra.is_antisymmetric():
         subs = (tuple(range(1, algebra.dim + 1)),)
     for sub, rep in zip(subs, ker2_invariance_reports(algebra, subs)):
@@ -170,6 +189,8 @@ def _suite_subcomplex(algebra, name, N):
 
 
 def _suite_anticyclic(algebra, name, N):
+    from .cochains import (anti_cyclic_constraint_rows, same_row_space,
+                           symmetry_identity_rows)
     out = {}
     for arity in (3, 4):
         rows_def, _ = anti_cyclic_constraint_rows(algebra.dim, arity)
@@ -180,11 +201,15 @@ def _suite_anticyclic(algebra, name, N):
 
 
 def _suite_dr(algebra, name, N):
+    from .complexes import DGLA, dgla_suite
     checks = dgla_suite(DGLA(algebra, max_degree=N))
     return {k: v["passed"] for k, v in checks.items()}
 
 
 def _suite_dual(algebra, name, N):
+    from .algebras import check_anti_invariance, double
+    from .duality import recovery_report, rotation_sum_report
+    from .words import projector_report
     out = {}
     out["projector_identity"] = projector_report(min(N + 2, 6))["passed"]
     out["rotation_sums_vanish"] = rotation_sum_report(5)["passed"]
@@ -205,6 +230,7 @@ _SUITE_FUNCS = {
 
 
 def _cmd_check(args):
+    from .algebras import require_leibniz
     algebra, name = _resolve_algebra(args.algebra)
     require_leibniz(algebra)
     wanted = SUITES[:-1] if args.suite == "all" else (args.suite,)
@@ -220,14 +246,16 @@ def _cmd_check(args):
 
 
 def _cmd_catalog(args):
+    from . import catalog
+    from .fileio import algebra_to_doc
     if not args.name:
         entries = []
-        for name in _catalog.names():
-            alg = _catalog.get(name)
+        for name in catalog.names():
+            alg = catalog.get(name)
             entries.append({"name": name, "dim": alg.dim,
                             "leibniz": alg.validate().passed})
         return _emit({"command": "catalog", "entries": entries}, args, 0)
-    return _emit(algebra_to_doc(_catalog.get(args.name)), args, 0)
+    return _emit(algebra_to_doc(catalog.get(args.name)), args, 0)
 
 
 def build_parser():

@@ -603,7 +603,9 @@ class DGLA:
     keeps their length, and the differential is del_L, which the
     embedding intertwines with del.  Coefficients are ints or Fractions:
     an integral algebra's word terms stay int, and so does a residue
-    modulo I whose reduction needed no division.
+    modulo I whose reduction needed no division.  Each instance keeps
+    del_L of every tensor word it has expanded and the per-letter
+    adjoint of every degree-0 vector it has acted with.
     """
 
     def __init__(self, algebra, max_degree=4):
@@ -615,6 +617,8 @@ class DGLA:
         self.ideal_rows, self.kept, self.project = ideal_residue(algebra)
         m = algebra.dim
         self.slices = {n: free_lie_basis(m, n) for n in range(1, max_degree + 1)}
+        self._del_l = {}
+        self._ad = {}
 
     def component_dims(self):
         dims = {0: len(self.kept)}
@@ -642,9 +646,12 @@ class DGLA:
         letter of the tensor words is the embedding of the action on
         bracket words.
         """
-        ad = {}
-        for letter in {x for w in terms for x in w}:
-            ad[letter] = self.algebra.bracket_vectors(g_vec, {letter: 1})
+        key = tuple(g_vec.items())
+        ad = self._ad.get(key)
+        if ad is None:
+            ad = self._ad[key] = {
+                letter: self.algebra.bracket_vectors(g_vec, {letter: 1})
+                for letter in range(1, self.algebra.dim + 1)}
         if not any(ad.values()):
             return {}
         out = {}
@@ -668,7 +675,14 @@ class DGLA:
     def differential(self, a):
         letters = {w[0]: c for w, c in a.terms.items() if len(w) == 1}
         gl = self.project(letters) if letters else {}
-        return DRElement(gl, loday_apply(self.algebra, a.terms))
+        return DRElement(gl, _extend(a.terms, self._loday_word))
+
+    def _loday_word(self, w):
+        out = self._del_l.get(w)
+        if out is None:
+            out = self._del_l[w] = boundary_word_terms(self.algebra, w,
+                                                       "loday")
+        return out
 
 
 def _outcome(failures):

@@ -30,8 +30,8 @@ import re
 from fractions import Fraction
 
 from .algebras import LeibnizAlgebra
-from .cochains import Cochain
 from .errors import InputError
+from .report import rational_to_string
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
@@ -48,13 +48,6 @@ def rational_from_string(s):
         # the interpreter's limit on the digits of an integer string
         raise InputError(
             f"rational {s[:20]}... of {len(s)} characters: {exc}") from exc
-
-
-def rational_to_string(x):
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _load_json(path):
@@ -155,6 +148,7 @@ def algebra_to_doc(algebra):
 
 
 def parse_cochain_doc(doc, where="cochain"):
+    from .cochains import Cochain
     if not isinstance(doc, dict):
         raise InputError(f"{where}: top level must be a JSON object")
     _require_fields(doc, ("degree", "dim", "coefficients"), where)

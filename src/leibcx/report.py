@@ -8,7 +8,12 @@ input therefore always produces byte-identical output.
 import json
 from fractions import Fraction
 
-from .fileio import rational_to_string
+
+def rational_to_string(x):
+    x = Fraction(x)
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
 
 
 def jsonable(obj):
