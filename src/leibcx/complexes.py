@@ -196,7 +196,8 @@ def loday_matrix(algebra, n):
     pairs that bracket the first letter) and a (x) del_L(u) holds the
     other pairs.  On lex indices, (a,) + u sits at (a - 1) m^(d-1) +
     idx(u) in degree d, and replacing u_j by k moves idx(u) by
-    (k - u_j) m^(d-2-j).  loday_apply keeps the direct pairwise formula.
+    (k - u_j) m^(d-2-j) (_loday_columns, which homology's lazy top shares).
+    loday_apply keeps the direct pairwise formula.
     """
     if n < 2:
         raise InputError("tensor boundary matrices start at degree 2")
@@ -204,26 +205,45 @@ def loday_matrix(algebra, n):
 
 
 def _loday_degrees(algebra, n):
-    # loday_matrix at degrees 2..n in turn, each built from the last alone
-    m = algebra.dim
-    letters = range(1, m + 1)
-    cols = [{} for _ in letters]
+    # loday_matrix at degrees 2..n in turn, each built whole from the last
+    cols = [{}] * algebra.dim   # del_L vanishes on letters
     for d in range(2, n + 1):
-        place = [m ** (d - 2 - j) for j in range(d - 1)]
-        shift = m ** (d - 2)
-        new = []
-        for a in letters:
-            base = (a - 1) * shift
-            acts = [algebra.bracket(a, b) for b in letters]
-            tails = product(letters, repeat=d - 1)   # lazy: no list to hold
-            for i, (u, low) in enumerate(zip(tails, cols)):
-                col = {base + r: -c for r, c in low.items()}
-                for b, p in zip(u, place):
-                    for k, c in acts[b - 1].items():
-                        _add_term(col, i + (k - b) * p, c)
-                new.append(col)
-        cols = new
+        cols = list(_loday_columns(algebra, d, cols, product(
+            range(1, algebra.dim + 1), range(len(cols)))))
         yield cols
+
+
+def _loday_columns(algebra, d, low, pairs):
+    # del_L of the degree-d words (a,) + u for (a, j) in pairs, u the j-th
+    # word of degree d - 1 and low[j] its column: -(a (x) del_L(u)) at
+    # rows (a - 1) m^(d-2) + r, and a.u at rows j + (k - u_p) m^(d-2-p)
+    m = algebra.dim
+    place = [m ** (d - 2 - p) for p in range(d - 1)]
+    acts = [[list(algebra.bracket(a, b).items()) for b in range(1, m + 1)]
+            for a in range(1, m + 1)]
+    for a, j in pairs:
+        act = acts[a - 1]
+        col = {(a - 1) * place[0] + r: -c for r, c in low[j].items()}
+        for p in place:
+            b = j // p % m   # u_p - 1
+            for k, c in act[b]:
+                _add_term(col, j + (k - 1 - b) * p, c)
+        yield col
+
+
+def _loday_blocks(algebra, weights, n):
+    # {weight: del_L columns} at degrees 2..n, whole below n, where
+    # weights[d] lists the weights of the words; lazy at n (see homology)
+    low = [{}] * algebra.dim
+    for d, low in enumerate(_loday_degrees(algebra, n - 1), 2):
+        yield _group(weights[d], low)
+    below = _group(weights[n - 1], range(len(low)))
+    top = {}   # weight: [(a, the indices j of the u at weight - wt(a))]
+    for a, la in enumerate(weights[1], 1):
+        for v, js in below.items():
+            top.setdefault(tuple(map(sum, zip(la, v))), []).append((a, js))
+    yield {w: _loday_columns(algebra, n, low, (
+        (a, j) for a, js in pairs for j in js)) for w, pairs in top.items()}
 
 
 def boundary_square_report(algebra, max_degree=5):
@@ -392,7 +412,11 @@ def homology(algebra, max_degree=4, loday=False):
     solve, and each block is a generator of them: past the column where
     a block's rank meets its bound none is built.  del_2 alone comes from
     boundary_matrix: over the letters its coordinates are the bracket
-    expansion itself.
+    expansion itself.  del_L comes up the degrees from its prefix
+    recursion (loday_matrix), whole below the top, which needs degree
+    N-1 in full.  The top is generated per block: at weight w, the words
+    (a,) + u with u at weight w - wt(a), in lex order, so the ranks pull
+    the columns they would pull from the whole degree.
 
     No block of nonzero toral weight is ranked.  The letter weights end
     with those of toral(), gradings that split no block.  For x toral,
@@ -451,12 +475,11 @@ def homology(algebra, max_degree=4, loday=False):
     if loday:
         tdims = {n: m ** n for n in range(1, max_degree + 1)}
         tweights = {1: letters}   # weight of (a,) + u: of a plus of u
-        for n in range(2, max_degree + 1):
+        for n in range(2, max_degree):
             tweights[n] = [tuple(map(sum, zip(la, lu))) for la in letters
                            for lu in tweights[n - 1]]
-        tranks = _ranks(tweights, map(
-            _group, (tweights[n] for n in range(2, max_degree + 1)),
-            _loday_degrees(algebra, max_degree)), len(lams), 2)
+        tranks = _ranks(tweights, _loday_blocks(algebra, tweights, max_degree),
+                        len(lams), 2)
         out.update(tensor_dims=tdims, tensor_ranks=tranks,
                    HL=_shifted_homology(tdims, tranks))
     return out

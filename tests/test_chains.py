@@ -494,36 +494,126 @@ def test_homology_builds_top_columns_only_up_to_the_bound(monkeypatch):
     assert len(top) == 54 < 4 * free_lie_basis(4, 4).dim == 240
 
 
+def _count_tensor_columns(monkeypatch):
+    # each del_L column as it is built, as (degree, a, j, column): the
+    # word (a,) + u at degree d, u the j-th word of degree d - 1
+    built = []
+    columns = complexes._loday_columns
+
+    def building(algebra, d, low, pairs):
+        last = []   # the pair the builder pulled for the column it yields
+        for col in columns(algebra, d, low,
+                           (last.append(p) or p for p in pairs)):
+            built.append((d, *last[-1], col))
+            yield col
+
+    monkeypatch.setattr(complexes, "_loday_columns", building)
+    return built
+
+
 def test_homology_builds_each_boundary_once(monkeypatch):
     # no source word's boundary is expanded twice in one homology call,
-    # and below the top degree the source words are basis words.  del_L
-    # comes from one pass of its prefix recursion, each degree built
-    # once, m^d columns at degree d.  Building degrees 2..n afresh for
-    # each n would build 7,248 columns for doubleL2 to 6 and 16,332 for
-    # L2 to 12
+    # and below the top degree the source words are basis words.  No
+    # tensor column is built twice either: del_L comes up the degrees
+    # from its prefix recursion, degrees 2..N-1 whole, m^d columns at
+    # degree d, and the top degree builds only the columns the ranks
+    # pull: 1,373 of 4,096 for doubleL2 to 6 (2,733 columns in all, 5,456
+    # with the top built whole) and 1,574 of 4,096 for L2 to 12 (5,666 in
+    # all, 8,188 whole)
     expanded = _count_expansions(monkeypatch)
-    passes, columns = [], []
-    degrees = complexes._loday_degrees
+    built = _count_tensor_columns(monkeypatch)
+    pulled = []
+    ranked = complexes.rank
 
-    def passing(algebra, n):
-        passes.append(n)
-        for cols in degrees(algebra, n):
-            columns.append(len(cols))
-            yield cols
+    def pulling(vectors, upper=None):
+        return ranked((pulled.append(v) or v for v in vectors), upper)
 
-    monkeypatch.setattr(complexes, "_loday_degrees", passing)
-    for name, N, built in (("doubleL2", 6, 5456), ("L2", 12, 8188)):
+    monkeypatch.setattr(complexes, "rank", pulling)
+    for name, N, top in (("doubleL2", 6, 1373), ("L2", 12, 1574)):
         A = catalog.get(name)
         homology(A, N, loday=True)
         assert set(expanded.values()) == {1}, name
         for n in range(2, N):
             below = {w for w in expanded if len(w) == n}
             assert below <= set(free_lie_basis(A.dim, n).words), (name, n)
-        assert passes == [N], name
-        assert columns == [A.dim ** d for d in range(2, N + 1)], name
-        assert sum(columns) == built, name
-        for calls in (expanded, passes, columns):
+        words = Counter((d, a, j) for d, a, j, _ in built)
+        assert set(words.values()) == {1}, name
+        assert Counter(d for d, _, _ in words) == {
+            d: A.dim ** d for d in range(2, N)} | {N: top}, name
+        pulled_ids = {id(v) for v in pulled}
+        assert all(id(col) in pulled_ids for d, _, _, col in built
+                   if d == N), name
+        for calls in (expanded, built, pulled):
             calls.clear()
+
+
+def _letter_weights(A):
+    # the letter weights homology groups by: the grading, then toral
+    letters = complexes.grading(A)
+    lams = complexes.toral(A, letters)
+    return [w + tuple(lam[a] for lam in lams) for a, w in enumerate(letters)]
+
+
+def _word_weights(letters, m, n):
+    return [tuple(map(sum, zip(*(letters[a - 1] for a in w))))
+            for w in tensor_words(m, n)]
+
+
+def test_lazy_top_blocks_match_the_whole_degree():
+    # homology generates the top degree of del_L per weight block; each
+    # block, drained, is the whole degree's columns at that weight, in
+    # order.  At N = 2 the degree below is the letters; B1 and the sl2
+    # conjugate have only the zero grading (one block), and sl2 has a
+    # toral coordinate
+    algebras = [catalog.get(name) for name in catalog.ALL_NAMES]
+    algebras.append(parse_algebra_file(SL2_CONJ0))
+    for A in algebras:
+        letters = _letter_weights(A)
+        for N in (2, 3, 5):
+            weights = {d: _word_weights(letters, A.dim, d)
+                       for d in range(1, N)}
+            *_, top = complexes._loday_blocks(A, weights, N)
+            whole = complexes._group(_word_weights(letters, A.dim, N),
+                                     loday_matrix(A, N))
+            assert list(top) == list(whole), (A.name, N)
+            assert {w: list(cols) for w, cols in top.items()} == whole, \
+                (A.name, N)
+
+
+def test_lazy_top_blocks_build_only_what_their_ranks_pull(monkeypatch):
+    # in homology a top block of nonzero toral weight (sl2) is skipped
+    # and builds no column; a block that falls back to exact elimination
+    # (nonzero HL: heis3, doubleL2) is built to its end, and a certified
+    # block builds a prefix of its columns.  The reference ranks are
+    # exact, on the whole degrees
+    built = _count_tensor_columns(monkeypatch)
+    fallbacks = 0
+    for name, N in (("sl2", 5), ("heis3", 5), ("doubleL2", 4)):
+        A = catalog.get(name)
+        letters = _letter_weights(A)
+        toral_part = len(letters[0]) - len(complexes.grading(A)[0])
+        homology(A, N, loday=True)
+        pulled = {(a, j) for d, a, j, _ in built if d == N}
+        words = [(a, j) for a in range(1, A.dim + 1)
+                 for j in range(A.dim ** (N - 1))]
+        below = _word_weights(letters, A.dim, N - 1)
+        ranks = {w: rank(cols) for w, cols in complexes._group(
+            below, loday_matrix(A, N - 1)).items()}
+        top = complexes._group(_word_weights(letters, A.dim, N), zip(
+            words, loday_matrix(A, N)))
+        for w, block in top.items():
+            bound = below.count(w) - ranks.get(w, 0)
+            made = [pair for pair, _ in block if pair in pulled]
+            if any(w[len(w) - toral_part:]):
+                assert not made, (name, w)
+            elif rank([col for _, col in block]) < bound:
+                fallbacks += 1
+                assert len(made) == len(block), (name, w)
+            else:
+                assert made == [pair for pair, _ in block][:len(made)], \
+                    (name, w)
+        built.clear()
+    assert fallbacks
 
 
 @pytest.mark.parametrize("m, n", [(2, 7), (3, 5), (4, 4)])
