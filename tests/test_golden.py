@@ -44,6 +44,7 @@ COMMANDS = (
     ("check", "--suite", "dual"),
     ("cohomology", "--max-degree", "5"),
     ("check", "--suite", "subcomplex", "--max-degree", "5"),
+    ("check", "--suite", "all"),
 )
 
 
