@@ -57,9 +57,7 @@ def _as_int_vector(vec):
 def _gcd_normalize(row):
     # divide an integer row by the gcd of its entries; make first-seen
     # (smallest index) entry positive; returns (row, divisor) with the
-    # sign folded into the divisor
-    if not row:
-        return row, 1
+    # sign folded into the divisor; row is nonzero
     g = 0
     for c in row.values():
         g = gcd(g, c)

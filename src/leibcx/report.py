@@ -22,26 +22,19 @@ def jsonable(obj):
         return rational_to_string(obj)
     if isinstance(obj, dict):
         return {_key(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = list(obj)
-        if isinstance(obj, (set, frozenset)):
-            items = sorted(items, key=repr)
-        return [jsonable(v) for v in items]
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    return repr(obj)
+    raise TypeError(f"not a report value: {obj.__class__.__name__}")
 
 
 def _key(k):
     if isinstance(k, str):
         return k
-    if isinstance(k, bool):
-        return "true" if k else "false"
     if isinstance(k, int):
         return str(k)
-    if isinstance(k, tuple):
-        return ",".join(str(x) for x in k)
-    return repr(k)
+    raise TypeError(f"not a report key: {k.__class__.__name__}")
 
 
 def canonical_json(obj):

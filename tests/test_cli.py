@@ -129,6 +129,21 @@ def test_check_suites(capsys):
         assert json.loads(out)["passed"] is True
 
 
+def test_check_subcomplex_on_a_file_takes_the_whole_algebra(tmp_path,
+                                                             capsys):
+    # a file names no catalog entry, so no listed Lie subalgebras: a
+    # Lie algebra checks kernel invariance on the whole algebra, and a
+    # non-antisymmetric one checks none
+    for name, keys in (("sl2", ["kernel_invariance_1_2_3"]), ("L2", [])):
+        path = tmp_path / f"{name}.json"
+        assert run(capsys, "catalog", name, "-o", str(path))[0] == 0
+        code, out, _ = run(capsys, "check", str(path), "--suite",
+                           "subcomplex", "--format", "json")
+        checks = json.loads(out)["checks"]
+        assert code == 0 and all(checks.values()), name
+        assert [k for k in checks if k.startswith("kernel")] == keys, name
+
+
 def test_check_rejects_invalid(capsys):
     code, _, err = run(capsys, "check", "catalog:B1")
     assert code == 2

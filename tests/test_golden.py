@@ -1,22 +1,23 @@
-"""Golden gate: canonical CLI output, byte for byte, on every catalog entry.
+"""Golden gate: canonical CLI output, byte for byte.
 
-Each case runs ``leibcx.cli.main`` in process and compares stdout and the
-exit code with the files under tests/golden/.  Every command runs with
-``--format json`` on every entry; on sl2 and B1 it also runs with
-``--format text``, so the text printer has a byte check too.  Two more
-files, under golden/dense/, hold homology of a dense change of basis of
-sl2 (tests/data/sl2_conj0.json) to degrees 7 and 8, ranked by exact
-elimination alone.  The files under golden/loday/ hold ``homology --loday``
-past the degree 4 of the per-entry cases, one degree per entry, named
-NAME_max-degree_N.
-Refactors of the internals must leave every case unchanged.
-
-Record the files again (only when an output change is intended) with
+Each file tests/golden/KEY.out is one key of CASES (tier-1) or DEEP (CI,
+through tests/deep_golden.py, which tier-1 does not collect), mapped to the
+argv it records.  check() runs ``leibcx.cli.main`` in process and compares
+stdout with the file and the exit code with exit_codes.json (0 where the
+key is absent).  CASES runs every command with ``--format json`` on every
+catalog entry and with ``--format text`` on sl2 and B1, homology --loday
+past degree 4 (loday/), and homology of a dense change of basis of sl2 to
+degrees 7 and 8 (dense/), recorded with exact ranks only, so the reference
+for the dense path does not come from the modular certificate it checks.
+DEEP runs past the degrees tier-1 reaches.  Refactors of the internals must
+leave every case unchanged.  Record every file again (only when an output
+change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import contextlib
+import glob
 import io
 import json
 import os
@@ -26,9 +27,12 @@ import pytest
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
+EXIT_CODES = os.path.join(GOLDEN, "exit_codes.json")
+SL2_CONJ = os.path.join(HERE, "data", "sl2_conj0.json")
 
 NAMES = ("abelian1", "abelian2", "abelian3", "abelian4", "L2", "N3", "sl2",
          "heis3", "doubleL2", "B1")
+TEXT_NAMES = ("sl2", "B1")
 
 COMMANDS = (
     ("validate",),
@@ -48,21 +52,49 @@ COMMANDS = (
 )
 
 
+def _argv(cmd, source, fmt="json"):
+    return [cmd[0], source, *cmd[1:], "--format", fmt]
+
+
 def _slug(cmd):
     return "_".join(part.lstrip("-") for part in cmd)
 
 
-TEXT_NAMES = ("sl2", "B1")
+def _homology(source, n, *flags):
+    return ["homology", source, "--max-degree", str(n), *flags,
+            "--format", "json"]
 
 
-# (test id, golden file key, argv)
-CASES = [(f"{name}-{_slug(cmd)}", f"{name}/{_slug(cmd)}",
-          [cmd[0], f"catalog:{name}", *cmd[1:], "--format", "json"])
-         for name in NAMES for cmd in COMMANDS]
-CASES.append(("catalog", "catalog", ["catalog", "--format", "json"]))
-CASES += [(f"{name}-{_slug(cmd)}-text", f"{name}/text/{_slug(cmd)}",
-           [cmd[0], f"catalog:{name}", *cmd[1:], "--format", "text"])
-          for name in TEXT_NAMES for cmd in COMMANDS]
+# the per-entry cases and the catalog; exit_codes.json lists each code
+ENTRY = {f"{name}/{_slug(cmd)}": _argv(cmd, f"catalog:{name}")
+         for name in NAMES for cmd in COMMANDS}
+ENTRY["catalog"] = ["catalog", "--format", "json"]
+ENTRY.update({f"{name}/text/{_slug(cmd)}": _argv(cmd, f"catalog:{name}",
+                                                  "text")
+              for name in TEXT_NAMES for cmd in COMMANDS})
+
+CASES = {
+    **ENTRY,
+    **{f"loday/{name}_max-degree_{n}": _homology(f"catalog:{name}", n,
+                                                 "--loday")
+       for name, n in (("doubleL2", 6), ("sl2", 7), ("heis3", 6), ("N3", 7),
+                       ("L2", 9))},
+    **{f"dense/sl2_conj0_homology_max-degree_{n}": _homology(SL2_CONJ, n)
+       for n in (7, 8)},
+}
+
+DEEP = {
+    **{f"deep/{name}_dr_max-degree_5":
+       _argv(("dr", "--max-degree", "5"), f"catalog:{name}")
+       for name in NAMES if name != "B1"},
+    **{f"deep/{name}_homology_max-degree_{n}": _homology(f"catalog:{name}", n)
+       for name, n in (("doubleL2", 8), ("doubleL2", 9), ("sl2", 9),
+                       ("sl2", 10), ("sl2", 11))},
+    **{f"deep-loday/{name}_max-degree_{n}": _homology(f"catalog:{name}", n,
+                                                      "--loday")
+       for name, n in (("L2", 12), ("doubleL2", 7), ("doubleL2", 8),
+                       ("heis3", 8), ("heis3", 9), ("sl2", 8), ("sl2", 9))},
+}
 
 
 def _run(argv):
@@ -74,66 +106,58 @@ def _run(argv):
     return out.getvalue(), code
 
 
-def _exit_codes():
-    with open(os.path.join(GOLDEN, "exit_codes.json"), encoding="utf-8") as fh:
-        return json.load(fh)
+def _path(key):
+    return os.path.join(GOLDEN, key + ".out")
 
 
-@pytest.mark.parametrize("key,argv", [c[1:] for c in CASES],
-                         ids=[c[0] for c in CASES])
-def test_golden_output(key, argv):
-    with open(os.path.join(GOLDEN, key + ".out"), encoding="utf-8",
-              newline="") as fh:
+def check(key, argv):
+    with open(_path(key), encoding="utf-8", newline="") as fh:
         want = fh.read()
+    with open(EXIT_CODES, encoding="utf-8") as fh:
+        want_code = json.load(fh).get(key, 0)
     text, code = _run(argv)
-    assert code == _exit_codes()[key], key
+    assert code == want_code, key
     assert text == want, key
 
 
-# (entry, degree) of the deeper homology --loday cases
-LODAY = (("doubleL2", 6), ("sl2", 7), ("heis3", 6), ("N3", 7), ("L2", 9))
-LODAY_CASES = [(f"loday/{name}_max-degree_{n}",
-                ["homology", f"catalog:{name}", "--max-degree", str(n),
-                 "--loday", "--format", "json"]) for name, n in LODAY]
+def _entry_id(key):
+    # sl2/validate -> sl2-validate, sl2/text/validate -> sl2-validate-text
+    text = "/text/" in key
+    return key.replace("/text/", "/").replace("/", "-") + "-text" * text
 
 
-@pytest.mark.parametrize("key,argv", LODAY_CASES,
-                         ids=[key for key, _ in LODAY_CASES])
-def test_deeper_loday_output(key, argv):
-    with open(os.path.join(GOLDEN, key + ".out"), encoding="utf-8",
-              newline="") as fh:
-        want = fh.read()
-    assert _run(argv) == (want, 0), key
+@pytest.mark.parametrize("key", ENTRY, ids=_entry_id)
+def test_golden_output(key):
+    check(key, CASES[key])
+
+
+@pytest.mark.parametrize("key", [k for k in CASES if k.startswith("loday/")])
+def test_deeper_loday_output(key):
+    check(key, CASES[key])
+
+
+def test_dense_change_of_basis_matches_exact_reference():
+    for key in CASES:
+        if key.startswith("dense/"):
+            check(key, CASES[key])
 
 
 def test_dense_change_of_basis_matches_catalog():
     # sl2 in a +-5 L U basis (perfbench/bench_gen.py, seed 6): dense,
     # large structure constants, the same homology as the catalog basis;
     # degree 7 adds the dense 124 x 312 boundary
-    path = os.path.join(HERE, "data", "sl2_conj0.json")
-    for degree in ("6", "7"):
-        conj = _run(["homology", path, "--max-degree", degree,
-                     "--format", "json"])
-        assert conj == _run(["homology", "catalog:sl2", "--max-degree",
-                             degree, "--format", "json"]), degree
+    for degree in (6, 7):
+        conj = _run(_homology(SL2_CONJ, degree))
+        assert conj == _run(_homology("catalog:sl2", degree)), degree
         assert conj[1] == 0
 
 
-# homology of the sl2 conjugate to degrees 7 and 8, recorded with every
-# rank taken by exact elimination (_exact_ranks_only), so the reference for
-# the dense path does not come from the modular certificate it checks
-DENSE_CASES = [(f"dense/sl2_conj0_homology_max-degree_{n}",
-                ["homology", os.path.join(HERE, "data", "sl2_conj0.json"),
-                 "--max-degree", str(n), "--format", "json"])
-               for n in (7, 8)]
-
-
-def test_dense_change_of_basis_matches_exact_reference():
-    for key, argv in DENSE_CASES:
-        with open(os.path.join(GOLDEN, key + ".out"), encoding="utf-8",
-                  newline="") as fh:
-            want = fh.read()
-        assert _run(argv) == (want, 0), key
+def test_every_golden_file_is_one_key():
+    files = {path[:-len(".out")].replace(os.sep, "/") for path in
+             glob.glob("**/*.out", root_dir=GOLDEN, recursive=True)}
+    files -= {key for key in files if key.startswith("demos/")}
+    assert not CASES.keys() & DEEP.keys()
+    assert files == CASES.keys() | DEEP.keys()
 
 
 @contextlib.contextmanager
@@ -150,34 +174,21 @@ def _exact_ranks_only():
 
 
 def record():
-    for key, argv in DENSE_CASES:
-        with _exact_ranks_only():
-            text, code = _run(argv)
-        assert code == 0, key
-        os.makedirs(os.path.dirname(os.path.join(GOLDEN, key)), exist_ok=True)
-        with open(os.path.join(GOLDEN, key + ".out"), "w", encoding="utf-8",
-                  newline="") as fh:
-            fh.write(text)
-    for key, argv in LODAY_CASES:
-        text, code = _run(argv)
-        assert code == 0, key
-        os.makedirs(os.path.dirname(os.path.join(GOLDEN, key)), exist_ok=True)
-        with open(os.path.join(GOLDEN, key + ".out"), "w", encoding="utf-8",
-                  newline="") as fh:
-            fh.write(text)
     codes = {}
-    for _, key, argv in CASES:
-        text, code = _run(argv)
-        os.makedirs(os.path.dirname(os.path.join(GOLDEN, key)), exist_ok=True)
-        with open(os.path.join(GOLDEN, key + ".out"), "w", encoding="utf-8",
-                  newline="") as fh:
+    for key, argv in {**CASES, **DEEP}.items():
+        with (_exact_ranks_only() if key.startswith("dense/")
+              else contextlib.nullcontext()):
+            text, code = _run(argv)
+        os.makedirs(os.path.dirname(_path(key)), exist_ok=True)
+        with open(_path(key), "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        codes[key] = code
-    with open(os.path.join(GOLDEN, "exit_codes.json"), "w",
-              encoding="utf-8") as fh:
+        if code or key in ENTRY:
+            codes[key] = code
+    with open(EXIT_CODES, "w", encoding="utf-8") as fh:
         json.dump(codes, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"recorded {len(codes)} cases under {GOLDEN}", file=sys.stderr)
+    print(f"recorded {len(CASES) + len(DEEP)} files under {GOLDEN}",
+          file=sys.stderr)
 
 
 if __name__ == "__main__":
