@@ -8,7 +8,8 @@ key is absent).  CASES runs every command with ``--format json`` on every
 catalog entry and with ``--format text`` on sl2 and B1, homology --loday
 past degree 4 (loday/), and homology of a dense change of basis of sl2 to
 degrees 7 and 8 (dense/), recorded with exact ranks only, so the reference
-for the dense path does not come from the modular certificate it checks.
+for the dense path does not come from the modular certificate it checks,
+and double --cocycle on the cochain files of tests/data (cocycle/).
 DEEP runs past the degrees tier-1 reaches.  Refactors of the internals must
 leave every case unchanged.  Record every file again (only when an output
 change is intended) with
@@ -29,6 +30,12 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
 EXIT_CODES = os.path.join(GOLDEN, "exit_codes.json")
 SL2_CONJ = os.path.join(HERE, "data", "sl2_conj0.json")
+# from_implicit of a unit vector, which reads only the dimension: a
+# trivial class on L2 (dim2_unit0), not closed on L2 (dim2_unit1, exit 1),
+# non-trivial classes on abelian2 and heis3, and a mismatch (exit 2)
+COCYCLES = (("L2", "dim2_unit0"), ("L2", "dim2_unit1"),
+            ("abelian2", "dim2_unit0"), ("heis3", "dim3_unit1"),
+            ("heis3", "dim2_unit0"))
 
 NAMES = ("abelian1", "abelian2", "abelian3", "abelian4", "L2", "N3", "sl2",
          "heis3", "doubleL2", "B1")
@@ -81,6 +88,10 @@ CASES = {
                        ("L2", 9))},
     **{f"dense/sl2_conj0_homology_max-degree_{n}": _homology(SL2_CONJ, n)
        for n in (7, 8)},
+    **{f"cocycle/{name}_{unit}": [
+        "double", f"catalog:{name}", "--cocycle",
+        os.path.join(HERE, "data", f"cochain_{unit}.json"), "--format", "json"]
+       for name, unit in COCYCLES},
 }
 
 DEEP = {
@@ -133,6 +144,11 @@ def test_golden_output(key):
 
 @pytest.mark.parametrize("key", [k for k in CASES if k.startswith("loday/")])
 def test_deeper_loday_output(key):
+    check(key, CASES[key])
+
+
+@pytest.mark.parametrize("key", [k for k in CASES if k.startswith("cocycle/")])
+def test_double_with_a_cochain_file(key):
     check(key, CASES[key])
 
 
