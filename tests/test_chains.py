@@ -181,6 +181,44 @@ def test_b1_tensor_square_fails():
     assert (1, 1, 1) in rep["loday_square_zero"]["failures"]
 
 
+def test_boundary_square_report_fails_on_non_leibniz_brackets():
+    # seeded brackets on 2 and 3 letters, none of them Leibniz: del o del
+    # fails, and every witness has a nonzero square; variant agreement
+    # and intertwining hold anyway, being identities of any bracket
+    rng = random.Random(14)
+    for m in (2, 3, 2, 3):
+        A = LeibnizAlgebra(m, {(i, j): {k: rng.randint(-2, 2)
+                                        for k in range(1, m + 1)}
+                               for i in range(1, m + 1)
+                               for j in range(1, m + 1)})
+        assert not A.validate().passed
+        rep = boundary_square_report(A, max_degree=3)
+        assert not rep["main_square_zero"]["passed"]
+        for w in rep["main_square_zero"]["failures"]:
+            assert _extend(complexes.boundary_apply(
+                A, boundary_word_terms(A, w)), embedded_word), w
+        assert rep["variants_agree"]["passed"]
+        assert intertwining_report(A, max_length=3)["passed"]
+
+
+def test_formal_certificates_fail_on_sabotaged_code(monkeypatch):
+    # variant agreement and intertwining certify the code, so they fail
+    # when it is broken: "alt" reads a symmetrized that is not
+    # [x,y] + [y,x], and an embedding that is not the bracket-word one
+    class Sabotaged(LeibnizAlgebra):
+        def symmetrized(self, i, j):
+            return self.bracket(i, j)
+
+    sl2 = catalog.get("sl2")
+    rep = boundary_square_report(Sabotaged(3, dict(sl2.items())), 3)
+    assert rep["main_square_zero"]["passed"]
+    assert not rep["variants_agree"]["passed"]
+    assert (1, 2) in rep["variants_agree"]["failures"]
+    monkeypatch.setattr(complexes, "embedded_word", lambda w: {w: 1})
+    rep = intertwining_report(sl2, max_length=2)
+    assert not rep["passed"] and (1, 2) in rep["failures"]
+
+
 def test_intertwining():
     for name in catalog.VALID_NAMES:
         rep = intertwining_report(catalog.get(name), max_length=4)
@@ -776,17 +814,21 @@ def test_ker2_invariance_matches_the_kernel_basis():
 
 
 def test_ker2_image_condition_matches_the_two_bracket_terms():
-    # reference: ([u,v], w) + (v, [u,w]) itself tested against Im(del_3),
-    # on every basis subset of size 1 to 3, a Lie subalgebra or not
+    # reference: {u, v} tested against the span of kernel2_basis, and
+    # ([u,v], w) + (v, [u,w]) itself against Im(del_3), on every basis
+    # subset of size 1 to 3, a Lie subalgebra or not; an image failure
+    # needs s = [v,w] + [w,v] != 0, so the pair (v, w) fails the kernel
+    # condition and the verdict is the one both tests together give
     with_failures = 0
     for name in catalog.VALID_NAMES:
         A = catalog.get(name)
+        kernel = exactla._echelon(kernel2_basis(A))
         image = exactla._echelon(boundary_matrix(A, 3))
         slice2 = free_lie_basis(A.dim, 2)
         subs = [sub for size in (1, 2, 3)
                 for sub in itertools.combinations(range(1, A.dim + 1), size)]
         for sub, rep in zip(subs, ker2_invariance_reports(A, subs)):
-            want = []
+            failures = []
             for u, v, w in itertools.product(sub, repeat=3):
                 terms = {}
                 for k, c in A.bracket(u, v).items():
@@ -794,22 +836,31 @@ def test_ker2_image_condition_matches_the_two_bracket_terms():
                 for k, c in A.bracket(u, w).items():
                     _add_term(terms, (v, k), c)
                 if terms and not image.contains(slice2.coords(terms)):
-                    want.append((u, v, w))
-            assert rep["image_failures"] == want, (name, sub)
-            with_failures += bool(want)
+                    failures.append((u, v, w))
+            pairs = [(u, v) for u in sub for v in sub
+                     if not kernel.contains(slice2.coords({(u, v): 1}))]
+            assert rep["kernel_failures"] == pairs, (name, sub)
+            assert pairs or not failures, (name, sub)
+            assert rep["passed"] == (not pairs and not failures), (name, sub)
+            assert "image_failures" not in rep
+            with_failures += bool(failures)
     assert with_failures == 13
 
 
 def test_symmetric_ideal_is_the_image_of_del_2(monkeypatch):
     # del{u, v} = [u, v] + [v, u] over the basis words {u, v} of F^2, so
     # Im(del_2) is the symmetric ideal I and ker2_invariance_reports
-    # reads kernel_dim = dim F^2 - dim I off it, neither assembling nor
-    # ranking del_2; the reference is the rank of the assembled del_2
+    # reads kernel_dim = dim F^2 - dim I off it; the reference is the
+    # rank of the assembled del_2.  The reports assemble no boundary and
+    # build no slice or echelon of their own: the only elimination is
+    # ideal_residue's, over the coordinates of the algebra
     cases = [catalog.get(name) for name in catalog.VALID_NAMES]
     cases.append(parse_algebra_file(SL2_CONJ0))
+    kernel_dims = []
     for A in cases:
         assert rank(boundary_matrix(A, 2)) == \
             len(symmetric_ideal(A)[0]), A.name
+        kernel_dims.append(len(kernel2_basis(A)))
     assembled = []
     assemble = complexes.boundary_matrix
 
@@ -817,16 +868,18 @@ def test_symmetric_ideal_is_the_image_of_del_2(monkeypatch):
         assembled.append(n)
         return assemble(algebra, n)
 
-    def ranking(*args, **kwargs):
-        raise AssertionError("ker2_invariance_reports ranks a boundary")
+    def refusing(*args, **kwargs):
+        raise AssertionError(
+            "ker2_invariance_reports builds a slice, an echelon or a rank")
 
     monkeypatch.setattr(complexes, "boundary_matrix", assembling)
-    monkeypatch.setattr(complexes, "rank", ranking)
-    for A in cases:
+    for name in ("rank", "SparseEchelon", "free_lie_basis"):
+        monkeypatch.setattr(complexes, name, refusing)
+    assert not hasattr(complexes, "_echelon")
+    for A, kernel_dim in zip(cases, kernel_dims):
         rep, = ker2_invariance_reports(A, [(1,)])
-        assert rep["kernel_dim"] == len(kernel2_basis(A)), A.name
-        assert assembled == [3], A.name
-        assembled.clear()
+        assert rep["kernel_dim"] == kernel_dim, A.name
+    assert assembled == []
 
 
 def test_omega0_is_ha1_of_a_lie_algebra():

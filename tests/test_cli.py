@@ -2,6 +2,7 @@
 
 import json
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from leibcx.cli import main
 from leibcx.errors import InputError
 from leibcx.fileio import (parse_algebra_doc, parse_cochain_doc,
                            rational_from_string, rational_to_string)
+from leibcx.report import jsonable
 
 
 def run(capsys, *argv):
@@ -161,7 +163,6 @@ def test_dr_command(capsys):
 def test_double_with_cocycle(tmp_path, capsys):
     coc = tmp_path / "h.json"
     # implicit (1, 0) twist on L2 written out explicitly
-    from fractions import Fraction
     from leibcx.cochains import from_implicit
     h = from_implicit([Fraction(1), Fraction(0)], 2, 2)
     doc = {"degree": 2, "dim": 2,
@@ -178,6 +179,8 @@ def test_double_with_cocycle(tmp_path, capsys):
 def test_rational_strings():
     assert rational_from_string("3/4") == 0.75
     assert rational_from_string("-2") == -2
+    assert rational_from_string(3) == 3
+    assert type(rational_from_string(3)) is Fraction
     # the last two pass the pattern but exceed the digit limit of int()
     for bad in ("3/0", "3/-4", "1.5", "a", "2/4/8", "", True, False,
                 "1\n", "3/4\n", "1" * 5000, "1/" + "1" * 5000):
@@ -219,6 +222,16 @@ def test_algebra_doc_validation():
         # unknown key in a bracket entry
         {"dim": 2, "brackets": [{"left": 1, "right": 1, "value": [[2, "1"]],
                                  "coeff": "1"}]},
+        [],                                                # not an object
+        {"dim": "2", "brackets": []},                      # dim not an int
+        {"name": 2, "dim": 2},
+        {"dim": 2, "brackets": {}},
+        {"dim": 2, "brackets": [[1, 1, [[2, "1"]]]]},     # not an object
+        {"dim": 2, "brackets": [{"left": 1, "right": 1, "value": "1"}]},
+        {"dim": 2, "brackets": [{"left": 1, "right": 1, "value": [[2]]}]},
+        {"dim": 2, "brackets": [{"left": 1, "right": 1,
+                                 "value": [["2", "1"]]}]},
+        {"dim": 2, "brackets": [{"left": 1, "right": 1, "value": [[3, "1"]]}]},
     ]
     for doc in bad_cases:
         with pytest.raises(InputError):
@@ -238,6 +251,10 @@ def test_cochain_doc_validation():
         {"dim": 2, "coefficients": [[[1, 1, 2], True]]},
         # an algebra document given as a cochain: ignored, a zero twist
         {"dim": 2, "brackets": [{"left": 1, "right": 1, "value": [[2, "1"]]}]},
+        [[[1, 1, 2], "1"]],                                 # not an object
+        {"dim": 0, "coefficients": []},
+        {"dim": 2, "coefficients": {"1,1,2": "1"}},
+        {"dim": 2, "coefficients": [[1, 1, 2]]},            # no value
     ]
     for doc in bad_cases:
         with pytest.raises(InputError):
@@ -283,6 +300,16 @@ def test_unreadable_input_exits_2(tmp_path, capsys):
         path.write_bytes(text.encode("latin-1"))
         code, out, err = run(capsys, *cmd.split(), str(path))
         assert code == 2 and out == "" and err.startswith("error: "), cmd
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, "validate", str(missing))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {missing}"), err
+
+
+def test_report_refuses_what_json_cannot_hold():
+    for bad in ({1, 2}, 0.5, {(1, 2): 1}, [{None: 1}]):
+        with pytest.raises(TypeError, match="not a report"):
+            jsonable(bad)
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):
@@ -294,9 +321,9 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
 
 def test_check_subcomplex_assembles_each_boundary_at_most_twice(
         capsys, monkeypatch):
-    # the six sl2 subalgebras share one del_3 and read Ker(del_2) off the
-    # symmetric ideal, with no del_2; the certificate assembles del_2 ..
-    # del_4 once
+    # the six sl2 subalgebras read Ker(del_2) off the symmetric ideal and
+    # need no del_3, so only the certificate assembles del_2 .. del_4,
+    # each once
     counts = Counter()
     assemble = complexes.boundary_matrix
 
@@ -309,4 +336,4 @@ def test_check_subcomplex_assembles_each_boundary_at_most_twice(
     code, out, _ = run(capsys, "check", "catalog:sl2", "--suite",
                        "subcomplex", "--format", "json")
     assert code == 0 and json.loads(out)["passed"]
-    assert counts == {2: 1, 3: 2, 4: 1}
+    assert counts == {2: 1, 3: 1, 4: 1}

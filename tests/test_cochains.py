@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from leibcx import catalog
-from leibcx.algebras import LeibnizAlgebra
+from leibcx.algebras import LeibnizAlgebra, double
 from leibcx.cochains import (Cochain, anti_cyclic_basis,
                              anti_cyclic_constraint_rows, bracket_coords_table,
                              classify_extension,
@@ -15,8 +15,10 @@ from leibcx.cochains import (Cochain, anti_cyclic_basis,
                              from_implicit, is_anti_cyclic, lp_coboundary,
                              same_row_space, subcomplex_report,
                              symmetry_identity_rows, to_implicit)
-from leibcx.complexes import (boundary_matrix, free_lie_basis, homology,
-                              intertwining_report)
+from leibcx.complexes import (DGLA, boundary_matrix, free_lie_basis,
+                              homology, intertwining_report, loday_matrix)
+from leibcx.duality import (DualBracketSum, contract, dual_bracket_word,
+                            structure_tensors)
 from leibcx.errors import InputError
 from leibcx.exactla import nullspace, transpose
 from support import dual_differential, lower
@@ -307,3 +309,26 @@ def test_differentials_refuse_a_cochain_of_another_dimension():
         lp_coboundary(catalog.get("sl2"), Cochain(2, 2, {(1, 2): 1}))
     with pytest.raises(InputError, match="dimension"):
         lp_coboundary(catalog.get("L2"), Cochain(2, 3, {(3, 3): 1}))
+
+
+def test_library_calls_refuse_bad_arguments():
+    L2 = catalog.get("L2")
+    dbl, omega = double(L2)
+    cases = (
+        (lambda: Cochain(0, 2), "arity and dimension"),
+        (lambda: Cochain(2, 2, {(1,): 1}), "length != arity"),
+        (lambda: Cochain(2, 2, {(1, 3): 1}), "out of range"),
+        (lambda: free_lie_basis(0, 2), "positive integer"),
+        (lambda: boundary_matrix(L2, 1), "start at degree 2"),
+        (lambda: loday_matrix(L2, 1), "start at degree 2"),
+        (lambda: DGLA(L2, 1), "at least 2"),
+        (lambda: DGLA(L2, 2).word_element((1, 2, 1)), "word degree 3"),
+        (lambda: symmetry_identity_rows(2, 5), "arity 3 and 4"),
+        (lambda: dual_bracket_word(()), "at least one symbol"),
+        (lambda: DualBracketSum({(1, 2): 1}).as_vector(), "contracted"),
+        (lambda: contract({1: 1}, DualBracketSum({(): 1})), "scalar term"),
+        (lambda: structure_tensors(dbl, omega, 3), "twice the base"),
+    )
+    for call, message in cases:
+        with pytest.raises(InputError, match=message):
+            call()

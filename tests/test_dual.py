@@ -129,6 +129,15 @@ def test_recovery_all_catalog_doubles():
         assert recovery_report(dbl, omega, A.dim)["passed"], name
 
 
+def test_recovery_fails_with_a_doubled_pairing():
+    # with omega doubled, mu and every contraction double too
+    dbl, omega = double(catalog.get("L2"))
+    rep = recovery_report(dbl, lambda a, b: 2 * omega(a, b), 2)
+    assert not rep["passed"] and rep["failures"]
+    for _, _, got, want in rep["failures"]:
+        assert got == {k: 2 * c for k, c in want.items()}
+
+
 def test_structure_tensors_refuse_a_malformed_twist():
     from leibcx.cochains import Cochain
     dbl, omega = double(catalog.get("L2"))
