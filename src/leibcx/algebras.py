@@ -22,7 +22,6 @@ canonical symplectic-style pairing, optional twisting by a scalar
 from fractions import Fraction
 
 from .errors import InputError
-from .exactla import _echelon, rref
 from .words import _add_term, _combine
 
 
@@ -139,6 +138,7 @@ def symmetric_ideal(algebra):
     This span is automatically a two-sided ideal acting trivially on the
     left, so no closure pass is needed.
     """
+    from .exactla import rref
     rows = []
     for i in range(1, algebra.dim + 1):
         for j in range(i, algebra.dim + 1):
@@ -158,6 +158,7 @@ def ideal_residue(algebra):
     the pivots, as {k(1-based): int or Fraction}.  The residues fill the
     span of the basis vectors at kept, a copy of g/I.
     """
+    from .exactla import _echelon
     rows, pivots = symmetric_ideal(algebra)
     pivset = set(pivots)
     kept = [j for j in range(algebra.dim) if j not in pivset]

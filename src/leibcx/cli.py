@@ -13,14 +13,21 @@
 ALGEBRA is a JSON file path or catalog:NAME.  Exit codes: 0 all checks
 passed, 1 a mathematical check failed, 2 malformed input.
 
-Only argparse, sys and errors are imported at the top.  Each command and
-check suite imports what it calls at its head, so a cold process compiles
-only the modules its command runs: validate catalog:NAME loads catalog,
-algebras, exactla, words and report; homology adds complexes; cohomology
-adds cochains too.
+There are two entry points.  main(argv) parses, runs one command and
+returns its exit code; tests and library callers use it.  run(), the
+one ``python -m leibcx.cli`` and the installed ``leibcx`` script call,
+runs main, flushes stdout and stderr and ends the process with os._exit,
+so a finished job skips the interpreter's teardown.
+
+Only argparse, os, sys and errors are imported at the top.  Each command
+and check suite imports what it calls at its head, so a cold process
+compiles only the modules its command runs: validate catalog:NAME loads
+catalog, algebras, words and report; liezation adds exactla; homology
+adds complexes and exactla; cohomology adds cochains too.
 """
 
 import argparse
+import os
 import sys
 
 from .errors import InputError
@@ -336,5 +343,24 @@ def main(argv=None):
         return 2
 
 
+def run():
+    """Run main() and end the process without interpreter teardown.
+
+    No output depends on the teardown (a full collection, then every
+    module and cached object freed one by one), and -o FILE is already
+    closed, so once stdout and stderr are flushed os._exit ends the
+    process.  An exception out of main propagates, and a failed flush
+    returns the exit code: both take the normal exit, which reports them
+    as it always has.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        return code
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -25,7 +25,7 @@ print(json.dumps([code, loaded]), file=sys.stderr)
 _LOADS = {
     ("validate", "catalog:abelian1"): {
         "leibcx", "leibcx.algebras", "leibcx.catalog", "leibcx.cli",
-        "leibcx.errors", "leibcx.exactla", "leibcx.report", "leibcx.words"},
+        "leibcx.errors", "leibcx.report", "leibcx.words"},
     ("homology", "catalog:sl2", "--max-degree", "3"): {
         "leibcx", "leibcx.algebras", "leibcx.catalog", "leibcx.cli",
         "leibcx.complexes", "leibcx.errors", "leibcx.exactla",
