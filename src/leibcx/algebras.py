@@ -104,10 +104,6 @@ class LeibnizAlgebra:
                     return False
         return True
 
-    def __repr__(self):
-        label = self.name or f"dim-{self.dim}"
-        return f"LeibnizAlgebra({label}, {len(self._c)} products)"
-
 
 class ValidationReport:
     __slots__ = ("failures",)
@@ -119,14 +115,11 @@ class ValidationReport:
     def passed(self):
         return not self.failures
 
-    def witnesses(self):
-        return [f[0] for f in self.failures]
-
 
 def require_leibniz(algebra):
     report = algebra.validate()
     if not report.passed:
-        triple = report.witnesses()[0]
+        triple = report.failures[0][0]
         raise InputError(
             f"bracket fails the Leibniz identity, e.g. at basis triple {triple}")
     return algebra

@@ -11,7 +11,8 @@
     leibcx catalog    [NAME] [-o FILE]
 
 ALGEBRA is a JSON file path or catalog:NAME.  Exit codes: 0 all checks
-passed, 1 a mathematical check failed, 2 malformed input.
+passed, 1 a mathematical check failed, 2 malformed input, 120 stdout was
+closed by its reader.
 
 There are two entry points.  main(argv) parses, runs one command and
 returns its exit code; tests and library callers use it.  run(), the
@@ -31,8 +32,6 @@ import os
 import sys
 
 from .errors import InputError
-
-SUITES = ("complex", "subcomplex", "dr", "anticyclic", "dual", "all")
 
 
 def _resolve_algebra(source):
@@ -234,13 +233,14 @@ _SUITE_FUNCS = {
     "anticyclic": _suite_anticyclic,
     "dual": _suite_dual,
 }
+SUITES = (*_SUITE_FUNCS, "all")
 
 
 def _cmd_check(args):
     from .algebras import require_leibniz
     algebra, name = _resolve_algebra(args.algebra)
     require_leibniz(algebra)
-    wanted = SUITES[:-1] if args.suite == "all" else (args.suite,)
+    wanted = _SUITE_FUNCS if args.suite == "all" else (args.suite,)
     checks = {}
     for suite in wanted:
         result = _SUITE_FUNCS[suite](algebra, name, args.max_degree)
@@ -351,9 +351,14 @@ def run():
     closed, so once stdout and stderr are flushed os._exit ends the
     process.  An exception out of main propagates, and a failed flush
     returns the exit code: both take the normal exit, which reports them
-    as it always has.
+    as it always has.  A closed stdout fails that last flush when stdout
+    is buffered, and the normal exit gives 120; unbuffered, the write in
+    main fails instead, and run returns 120 itself.
     """
-    code = main()
+    try:
+        code = main()
+    except BrokenPipeError:
+        return 120
     try:
         sys.stdout.flush()
         sys.stderr.flush()

@@ -67,22 +67,6 @@ class Cochain:
     def coefficient(self, word):
         return self.coeffs.get(tuple(word), Fraction(0))
 
-    def is_zero(self):
-        return not self.coeffs
-
-    def apply_terms(self, terms):
-        """Evaluate linearly on {word: coeff} terms."""
-        total = Fraction(0)
-        for w, c in terms.items():
-            v = self.coeffs.get(w)
-            if v:
-                total += c * v
-        return total
-
-    def __add__(self, other):
-        return Cochain(self.arity, self.dim,
-                       _combine(self.coeffs, other.coeffs))
-
     def __sub__(self, other):
         return Cochain(self.arity, self.dim,
                        _combine(self.coeffs, other.coeffs, -1))
@@ -96,13 +80,6 @@ class Cochain:
         return (type(other) is Cochain and self.arity == other.arity
                 and self.dim == other.dim and self.coeffs == other.coeffs)
 
-    def __hash__(self):
-        return hash((self.arity, self.dim, frozenset(self.coeffs.items())))
-
-    def __repr__(self):
-        return (f"Cochain(arity={self.arity}, dim={self.dim}, "
-                f"{len(self.coeffs)} coefficients)")
-
 
 def lp_coboundary(algebra, cochain):
     """Coboundary of a scalar cochain: precompose with the boundary words.
@@ -115,10 +92,12 @@ def lp_coboundary(algebra, cochain):
     require_dim(cochain, algebra.dim)
     m = cochain.dim
     a = cochain.arity
+    coeffs = cochain.coeffs
     out = {}
     for w in tensor_words(m, a + 1):
-        total = cochain.apply_terms(
-            boundary_word_terms(algebra, w, "alt"))
+        total = sum(c * coeffs[t] for t, c in
+                    boundary_word_terms(algebra, w, "alt").items()
+                    if t in coeffs)
         if total:
             out[w] = total
     return Cochain(a + 1, m, out)

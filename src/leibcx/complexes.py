@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby, islice, product
 
-from .algebras import ideal_residue, require_leibniz
+from .algebras import ideal_residue, require_leibniz, symmetric_ideal
 from .errors import InputError
 from .exactla import SparseEchelon, _as_int_vector, nullspace, rank
 from .words import (_add_term, _combine, _extend, embedded_word,
@@ -535,8 +535,8 @@ def ker2_invariance_reports(algebra, subalgebras):
     del{u, v} = [u,v] + [v,u] is a combination of letters, a basis of
     F^1, so {u, v} is a cycle exactly when that expansion is empty.  The
     same expansions span the symmetric ideal I, so Im(del_2) = I and
-    kernel_dim is dim F^2 - dim I, read off ideal_residue and the
-    super-Witt count with del_2 neither built nor ranked.
+    kernel_dim is dim F^2 - dim I: the super-Witt count less the rows of
+    symmetric_ideal's RREF, with del_2 neither built nor ranked.
 
     The second condition, ([u,v], w) + (v, [u,w]) in Im(del_3) for u, v,
     w in the subalgebra, is implied and so not tested.  The boundary
@@ -547,7 +547,8 @@ def ker2_invariance_reports(algebra, subalgebras):
     per subalgebra.
     """
     require_leibniz(algebra)
-    kernel_dim = superwitt_dim(algebra.dim, 2) - len(ideal_residue(algebra)[0])
+    ideal_rows, _ = symmetric_ideal(algebra)
+    kernel_dim = superwitt_dim(algebra.dim, 2) - len(ideal_rows)
     reports = []
     for sub in subalgebras:
         kernel_failures = [(u, v) for u in sub for v in sub

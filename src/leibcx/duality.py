@@ -62,17 +62,6 @@ class DualBracketSum:
         el.terms = terms
         return el
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        return DualBracketSum._raw(_combine(self.terms, other.terms))
-
-    def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
-        return DualBracketSum._raw(
-            {w: scalar * c for w, c in self.terms.items()} if scalar else {})
-
     def expansion(self):
         """The honest tensor term dict behind the symbolic sum."""
         return _extend(self.terms, dual_bracket_word)
@@ -213,7 +202,7 @@ def structure_tensors(double_alg, omega, base_dim, cocycle=None):
                     h = cocycle.coefficient((i, j, k))
                     if h:
                         _add_term(h_terms, (m + i, m + j, m + k), third * h)
-        theta = mu + DualBracketSum._raw(h_terms)
+        theta = DualBracketSum._raw(_combine(mu_terms, h_terms))
     return cartan, mu, theta
 
 

@@ -19,7 +19,7 @@ def test_catalog_validity():
 
 def test_b1_witness():
     rep = catalog.get("B1").validate()
-    assert rep.witnesses() == [(1, 1, 1)]
+    assert [f[0] for f in rep.failures] == [(1, 1, 1)]
     (triple, lhs, rhs) = rep.failures[0]
     assert triple == (1, 1, 1)
     assert lhs == {1: 1}   # [e1, [e1, e1]] = e1

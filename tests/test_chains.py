@@ -853,7 +853,7 @@ def test_symmetric_ideal_is_the_image_of_del_2(monkeypatch):
     # reads kernel_dim = dim F^2 - dim I off it; the reference is the
     # rank of the assembled del_2.  The reports assemble no boundary and
     # build no slice or echelon of their own: the only elimination is
-    # ideal_residue's, over the coordinates of the algebra
+    # symmetric_ideal's RREF, over the coordinates of the algebra
     cases = [catalog.get(name) for name in catalog.VALID_NAMES]
     cases.append(parse_algebra_file(SL2_CONJ0))
     kernel_dims = []

@@ -236,7 +236,7 @@ def test_classify_closed_matches_the_coboundary():
         for h in _seeded_twists(A, rng, 6):
             rep = classify_extension(A, h)
             assert rep["anti_cyclic"], name
-            assert rep["closed"] == lp_coboundary(A, h).is_zero(), name
+            assert rep["closed"] == (not lp_coboundary(A, h).coeffs), name
             assert (rep["class"] is None) == (not rep["closed"]), name
     # a cochain that is not anti-cyclic is not classified
     rep = classify_extension(catalog.get("L2"), Cochain(3, 2, {(1, 2, 2): 1}))
@@ -251,7 +251,7 @@ def test_classes_are_invariant_under_coboundaries():
     for name in ("abelian2", "L2", "N3", "sl2", "heis3", "doubleL2"):
         A = catalog.get(name)
         closed = [h for h in _seeded_twists(A, rng, 6)
-                  if lp_coboundary(A, h).is_zero()]
+                  if not lp_coboundary(A, h).coeffs]
         assert closed, name
         for a in anti_cyclic_basis(A.dim, 1):
             ba = lp_coboundary(A, a)
@@ -259,7 +259,7 @@ def test_classes_are_invariant_under_coboundaries():
             assert rep["closed"] and rep["trivial"], name
             assert rep["class"] == [0] * rep["h2_dim"], name
             for h in closed:
-                assert classify_extension(A, h + ba)["class"] == \
+                assert classify_extension(A, h - (-1) * ba)["class"] == \
                     classify_extension(A, h)["class"], name
 
 

@@ -4,8 +4,9 @@ run() ends a finished job with os._exit, past the interpreter's teardown.
 Each child here is a fresh process on one key of test_golden.CASES: its
 stdout must be the golden bytes, its exit code that of exit_codes.json,
 and its stderr what main() prints in process.  A child whose stdout is a
-closed pipe must exit as before run() existed.  Every child starts at
-once, so the six cold starts share the host's cores.
+closed pipe must exit as before run() existed, and an unbuffered one
+with the same code and no traceback.  Every child starts at once, so the
+seven cold starts share the host's cores.
 """
 
 import contextlib
@@ -33,11 +34,13 @@ CLOSED_PIPE_ERR = ("Exception ignored in: <_io.TextIOWrapper name='<stdout>'"
                    "BrokenPipeError: [Errno 32] Broken pipe\n")
 
 
-def _start(argv, stdout):
+def _start(argv, stdout, unbuffered=False):
     env = dict(os.environ, PYTHONPATH=SRC)
     # a buffered stdout, so the output reaches the pipe only if run()
-    # flushes it
+    # flushes it; an unbuffered one writes while main() runs
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.Popen([sys.executable, "-m", "leibcx.cli", *argv],
                             stdout=stdout, stderr=subprocess.PIPE, env=env)
 
@@ -51,8 +54,9 @@ def children(tmp_path_factory):
              for key, argv in argvs.items()}
     read, write = os.pipe()
     os.close(read)
-    procs["closed"] = _start(
-        ["validate", "catalog:abelian1", "--format", "json"], write)
+    closed = ["validate", "catalog:abelian1", "--format", "json"]
+    procs["closed"] = _start(closed, write)
+    procs["closed_unbuffered"] = _start(closed, write, unbuffered=True)
     os.close(write)
     results = {}
     for key, proc in procs.items():
@@ -82,3 +86,7 @@ def test_each_process_exits_as_main_returns(children):
 def test_a_closed_stdout_takes_the_normal_exit(children):
     code, _, err = children[0]["closed"]
     assert (code, err) == (CLOSED_PIPE_CODE, CLOSED_PIPE_ERR)
+    # unbuffered, the write fails inside main(), where the exception
+    # would exit 1, the code of a failed check; run() returns 120 instead
+    code, _, err = children[0]["closed_unbuffered"]
+    assert (code, err) == (CLOSED_PIPE_CODE, "")
