@@ -9,7 +9,9 @@ catalog entry and with ``--format text`` on sl2 and B1, homology --loday
 past degree 4 (loday/), and homology of a dense change of basis of sl2 to
 degrees 7 and 8 (dense/), recorded with exact ranks only, so the reference
 for the dense path does not come from the modular certificate it checks,
-and double --cocycle on the cochain files of tests/data (cocycle/).
+double --cocycle on the cochain files of tests/data (cocycle/), and
+homology and the subcomplex suite on the 6-dimensional doubles of sl2 and
+heis3 (double/), the first cases that solve coordinates over six letters.
 DEEP runs past the degrees tier-1 reaches.  Refactors of the internals must
 leave every case unchanged.  Record every file again (only when an output
 change is intended) with
@@ -36,6 +38,9 @@ SL2_CONJ = os.path.join(HERE, "data", "sl2_conj0.json")
 COCYCLES = (("L2", "dim2_unit0"), ("L2", "dim2_unit1"),
             ("abelian2", "dim2_unit0"), ("heis3", "dim3_unit1"),
             ("heis3", "dim2_unit0"))
+
+# tests/data/double_NAME.json: the -o payload of double catalog:NAME
+DOUBLES = ("sl2", "heis3")
 
 NAMES = ("abelian1", "abelian2", "abelian3", "abelian4", "L2", "N3", "sl2",
          "heis3", "doubleL2", "B1")
@@ -72,6 +77,12 @@ def _homology(source, n, *flags):
             "--format", "json"]
 
 
+def _doubles(prefix, commands):
+    return {f"{prefix}/{name}_{_slug(cmd)}":
+            _argv(cmd, os.path.join(HERE, "data", f"double_{name}.json"))
+            for name in DOUBLES for cmd in commands}
+
+
 # the per-entry cases and the catalog; exit_codes.json lists each code
 ENTRY = {f"{name}/{_slug(cmd)}": _argv(cmd, f"catalog:{name}")
          for name in NAMES for cmd in COMMANDS}
@@ -92,6 +103,9 @@ CASES = {
         "double", f"catalog:{name}", "--cocycle",
         os.path.join(HERE, "data", f"cochain_{unit}.json"), "--format", "json"]
        for name, unit in COCYCLES},
+    **_doubles("double", (("homology", "--max-degree", "5"),
+                          ("homology", "--max-degree", "5", "--loday"),
+                          ("check", "--suite", "subcomplex"))),
 }
 
 DEEP = {
@@ -105,6 +119,10 @@ DEEP = {
                                                       "--loday")
        for name, n in (("L2", 12), ("doubleL2", 7), ("doubleL2", 8),
                        ("heis3", 8), ("heis3", 9), ("sl2", 8), ("sl2", 9))},
+    **_doubles("deep-double", (("homology", "--max-degree", "7"),
+                               ("homology", "--max-degree", "6", "--loday"),
+                               ("check", "--suite", "subcomplex",
+                                "--max-degree", "5"))),
 }
 
 
@@ -149,6 +167,11 @@ def test_deeper_loday_output(key):
 
 @pytest.mark.parametrize("key", [k for k in CASES if k.startswith("cocycle/")])
 def test_double_with_a_cochain_file(key):
+    check(key, CASES[key])
+
+
+@pytest.mark.parametrize("key", [k for k in CASES if k.startswith("double/")])
+def test_six_dimensional_double(key):
     check(key, CASES[key])
 
 
