@@ -32,7 +32,7 @@ class LeibnizAlgebra:
 
     def __init__(self, dim, brackets, name=None):
         # brackets: {(i, j): {k: coeff}} for the nonzero products
-        if not (isinstance(dim, int) and dim >= 1):
+        if not (type(dim) is int and dim >= 1):    # not a bool
             raise InputError(f"dimension must be a positive int, got {dim!r}")
         self.dim = dim
         self.name = name
@@ -51,7 +51,7 @@ class LeibnizAlgebra:
         self._c = c
 
     def _check_index(self, i):
-        if not (isinstance(i, int) and 1 <= i <= self.dim):
+        if not (type(i) is int and 1 <= i <= self.dim):
             raise InputError(
                 f"basis index {i!r} out of range 1..{self.dim}")
 

@@ -47,8 +47,9 @@ class Cochain:
     __slots__ = ("arity", "dim", "coeffs")
 
     def __init__(self, arity, dim, coeffs=None):
-        if arity < 1 or dim < 1:
-            raise InputError("cochain arity and dimension must be positive")
+        if not (type(arity) is type(dim) is int and arity >= 1 and dim >= 1):
+            raise InputError(
+                "cochain arity and dimension must be positive integers")
         self.arity = arity
         self.dim = dim
         self.coeffs = {}
@@ -58,7 +59,7 @@ class Cochain:
                 raise InputError(
                     f"coefficient word {w} has length != arity {arity}")
             for i in w:
-                if not (isinstance(i, int) and 1 <= i <= dim):
+                if not (type(i) is int and 1 <= i <= dim):
                     raise InputError(f"index {i!r} out of range 1..{dim}")
             c = Fraction(c)
             if c:

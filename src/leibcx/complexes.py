@@ -85,14 +85,11 @@ class LieBasisSlice:
 
     def coords(self, terms):
         """Coordinates of a bracket-word term dict {word: coeff}."""
-        # coordinates are linear: solve for den * element, which has
-        # integer coefficients, so its embedding sums no Fractions
-        ints, den = _as_int_vector(terms)
-        raw = self.echelon.coordinates(_extend(ints, embedded_word))
+        raw = self.echelon.coordinates(_extend(terms, embedded_word))
         if raw is None:
             raise InputError(
                 f"element is outside the degree-{self.degree} span")
-        return raw if den == 1 else {k: c / den for k, c in raw.items()}
+        return raw
 
     def pivot_values(self, terms):
         """{row k: int}: c * eps(element) at the pivot word of row k.
@@ -110,10 +107,9 @@ class LieBasisSlice:
         return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)    # typed: True is cached apart from 1
 def free_lie_basis(m, degree):
-    if not (isinstance(m, int) and m >= 1 and isinstance(degree, int)
-            and degree >= 1):
+    if not (type(m) is type(degree) is int and m >= 1 and degree >= 1):
         raise InputError("free_lie_basis needs positive integer arguments")
     return LieBasisSlice(m, degree)
 
@@ -442,8 +438,8 @@ def homology(algebra, max_degree=4, loday=False):
     Ann. 296 (1993).
     """
     require_leibniz(algebra)
-    if max_degree < 2:
-        raise InputError("--max-degree must be at least 2")
+    if type(max_degree) is not int or max_degree < 2:
+        raise InputError("--max-degree must be an integer of at least 2")
     m = algebra.dim
     letters = grading(algebra)
     lams = toral(algebra, letters)
@@ -464,8 +460,8 @@ def homology(algebra, max_degree=4, loday=False):
         # {weight: columns of del_n at that weight}
         if n == 2 < max_degree:
             # the benchmark's trace records its assembly span by wrapping
-            # boundary_matrix; this call stays until the package records
-            # its own spans (ROADMAP item 6)
+            # boundary_matrix (test_traced_output_is_byte_identical fails
+            # without it); the call stays until ROADMAP item 6's spans
             return _group(weights[2], boundary_matrix(algebra, 2))
         dst = free_lie_basis(m, n - 1)
         keys = weights[n] if n < max_degree else map(weight, sources[n])
@@ -631,8 +627,8 @@ class DGLA:
 
     def __init__(self, algebra, max_degree=4):
         require_leibniz(algebra)
-        if max_degree < 2:
-            raise InputError("--max-degree must be at least 2")
+        if type(max_degree) is not int or max_degree < 2:
+            raise InputError("--max-degree must be an integer of at least 2")
         self.algebra = algebra
         self.N = max_degree
         self.ideal_rows, self.kept, self.project = ideal_residue(algebra)

@@ -20,10 +20,9 @@ its exact rank takes 48 s against 0.38 s.  rref, nullspace and the
 ideal residue keep the lowest index, which their canonical forms need.
 Each insert records the multipliers its reduction produced, so row k is
 a combination of the k-th accepted vector and the rows before it.
-Coordinate recovery (membership certificates) reduces once and then
-back-substitutes through these records from the highest row down, in
-integers over one denominator, creating Fractions only for the
-coordinates it returns.
+Coordinate recovery (membership certificates, cochain vectors and
+extension classes) reduces once, in integers, and then back-substitutes
+through these records in Fractions from the highest row down.
 
 A matrix is a list of such vectors: the columns for boundary maps, the
 rows where rref and nullspace say so.  rref and nullspace are read-outs
@@ -80,7 +79,8 @@ class SparseEchelon:
     accepted insert, reduced: insert records (scale, div, gamma) with
     div * rows[k] = scale * vec - sum_j gamma[j] * rows[j], every j < k.
     coordinates(vec) returns {row k: Fraction} expressing vec over the
-    accepted inserts, or None when vec is outside the span.
+    accepted inserts, or None when vec is outside the span; it expands
+    each row through its record, highest first, in plain Fractions.
     pick chooses the pivot of a new row among the indices of its
     residue: min (the default) gives the canonical echelon that rref and
     nullspace read; max fills in less on lex-ordered inputs.  The rule
@@ -180,35 +180,26 @@ class SparseEchelon:
         res, den, num = self._reduce(vec)
         if res:
             return None
-        # den * vec = sum_k num[k] rows[k].  Expand the highest pending
-        # row into its insert and lower rows, over the common denominator
-        # den, scaling everything by div where div does not divide; no
-        # row above k is pending then, so num[k] is final when popped.
-        heap = [-k for k in num]
+        # vec = sum_k x[k] rows[k].  Expand the highest pending row into
+        # its insert and lower rows by its record; no row above k is
+        # pending then, so x[k] is final when popped.
+        x = {k: Fraction(c, den) for k, c in num.items()}
+        heap = [-k for k in x]
         heapify(heap)
         out = {}
         while heap:
             k = -heappop(heap)
-            c = num.pop(k)
+            c = x.pop(k)
             if not c:
                 continue
             scale, div, gamma = self._mults[k]
-            if c % div == 0:
-                c //= div
-            else:
-                den *= div
-                for j in num:
-                    num[j] *= div
-                for j in out:
-                    out[j] *= div
+            c /= div
             out[k] = c * scale
             for j, g in gamma.items():
-                if j in num:
-                    num[j] -= c * g
-                else:
-                    num[j] = -c * g
+                if j not in x:
                     heappush(heap, -j)
-        return {k: Fraction(out[k], den) for k in sorted(out)}
+                x[j] = x.get(j, 0) - c * g
+        return dict(reversed(out.items()))     # ascending k
 
 
 def _echelon(rows, pick=min):

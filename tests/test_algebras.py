@@ -153,12 +153,12 @@ def test_twisted_double():
 
 
 def test_algebra_input_validation():
-    with pytest.raises(InputError):
-        LeibnizAlgebra(0, {})
-    with pytest.raises(InputError):
-        LeibnizAlgebra(2, {(1, 3): {1: 1}})
-    with pytest.raises(InputError):
-        LeibnizAlgebra(2, {(1, 1): {5: 1}})
+    # a bool is refused where an int is needed, as the file parser does
+    for dim, brackets in ((0, {}), (True, {}), (2, {(1, 3): {1: 1}}),
+                          (2, {(1, 1): {5: 1}}), (2, {(True, 1): {2: 1}}),
+                          (2, {(1, 1): {True: 1}})):
+        with pytest.raises(InputError):
+            LeibnizAlgebra(dim, brackets)
 
 
 def test_double_refuses_a_malformed_twist():

@@ -769,6 +769,8 @@ def test_homology_rejects_bad_input():
         homology(catalog.get("B1"))
     with pytest.raises(InputError):
         homology(catalog.get("L2"), max_degree=1)
+    with pytest.raises(InputError):
+        homology(catalog.get("L2"), max_degree=2.5)
 
 
 def test_omega0_frozen():

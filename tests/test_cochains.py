@@ -318,10 +318,18 @@ def test_library_calls_refuse_bad_arguments():
         (lambda: Cochain(0, 2), "arity and dimension"),
         (lambda: Cochain(2, 2, {(1,): 1}), "length != arity"),
         (lambda: Cochain(2, 2, {(1, 3): 1}), "out of range"),
+        (lambda: Cochain(True, 2, {(1,): 1}), "arity and dimension"),
+        (lambda: Cochain(1, True), "arity and dimension"),
+        (lambda: Cochain(1, 2, {(True,): 1}), "out of range"),
         (lambda: free_lie_basis(0, 2), "positive integer"),
+        # (1, 2) cached first: the cache must not answer for (True, 2)
+        (lambda: [free_lie_basis(1, 2), free_lie_basis(True, 2)],
+         "positive integer"),
+        (lambda: free_lie_basis(2, True), "positive integer"),
         (lambda: boundary_matrix(L2, 1), "start at degree 2"),
         (lambda: loday_matrix(L2, 1), "start at degree 2"),
         (lambda: DGLA(L2, 1), "at least 2"),
+        (lambda: DGLA(L2, 2.5), "at least 2"),
         (lambda: DGLA(L2, 2).word_element((1, 2, 1)), "word degree 3"),
         (lambda: symmetry_identity_rows(2, 5), "arity 3 and 4"),
         (lambda: dual_bracket_word(()), "at least one symbol"),

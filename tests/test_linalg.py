@@ -61,6 +61,9 @@ def test_echelon_coordinates_exact():
             rebuilt[i] = rebuilt.get(i, F(0)) + c * v
     assert {i: v for i, v in rebuilt.items() if v} == vec
     assert ech.coordinates({3: F(1)}) is None
+    # the zero vector, which a closed h with a zero implicit vector
+    # passes from classify_extension
+    assert ech.coordinates({}) == {}
 
 
 def test_echelon_late_pivot_order():
