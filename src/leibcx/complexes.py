@@ -40,8 +40,9 @@ from functools import lru_cache
 from itertools import groupby, islice, product
 
 from .algebras import ideal_residue, require_leibniz, symmetric_ideal
-from .errors import InputError
-from .exactla import SparseEchelon, _as_int_vector, nullspace, rank
+from .errors import InputError, require_int
+from .exactla import SparseEchelon, _as_int_vector, rank
+from .gradings import grading, toral
 from .words import (_add_term, _combine, _extend, embedded_word,
                     super_commutator, tensor_words)
 
@@ -151,6 +152,24 @@ def boundary_word_terms(algebra, word, variant="main"):
     return out
 
 
+def _cartan_boundary(algebra, word, low, ell):
+    # del of a word longer than ell by the Cartan homotopy del((a,) + b)
+    # = a.b - (a,) + del(b) (see homology), a.b acting letter by letter,
+    # up from del of its suffix of length ell: low holds del of such
+    # suffixes, and one missing there is expanded and added
+    tail = word[-ell:]
+    out = low.get(tail)
+    if out is None:
+        out = low[tail] = boundary_word_terms(algebra, tail)
+    for p in reversed(range(len(word) - ell)):
+        a, b = word[p], word[p + 1:]
+        out = {(a,) + w: -c for w, c in out.items()}
+        for i, x in enumerate(b):
+            for k, c in algebra.bracket(a, x).items():
+                _add_term(out, b[:i] + (k,) + b[i + 1:], c)
+    return out
+
+
 def boundary_apply(algebra, terms):
     """del of a bracket-word term dict, one degree down."""
     return _extend(terms, lambda w: boundary_word_terms(algebra, w))
@@ -194,6 +213,7 @@ def loday_matrix(algebra, n):
     (k - u_j) m^(d-2-j) (_loday_columns, which homology's lazy top shares).
     loday_apply keeps the direct pairwise formula.
     """
+    require_int(n, "the degree")
     if n < 2:
         raise InputError("tensor boundary matrices start at degree 2")
     return deque(_loday_degrees(algebra, n), maxlen=1).pop()
@@ -232,11 +252,7 @@ def _loday_blocks(algebra, weights, n):
     low = [{}] * algebra.dim
     for d, low in enumerate(_loday_degrees(algebra, n - 1), 2):
         yield _group(weights[d], low)
-    below = _group(weights[n - 1], range(len(low)))
-    top = {}   # weight: [(a, the indices j of the u at weight - wt(a))]
-    for a, la in enumerate(weights[1], 1):
-        for v, js in below.items():
-            top.setdefault(tuple(map(sum, zip(la, v))), []).append((a, js))
+    top = _prefix_blocks(weights[1], weights[n - 1], range(len(low)))
     yield {w: _loday_columns(algebra, n, low, (
         (a, j) for a, js in pairs for j in js)) for w, pairs in top.items()}
 
@@ -249,6 +265,7 @@ def boundary_square_report(algebra, max_degree=5):
     not, so it certifies the code, not the algebra.  Returns a dict of
     named checks with failure lists.
     """
+    require_int(max_degree, "max_degree")
     m = algebra.dim
     failures = {"main": [], "loday": [], "variants": []}
     for n in range(2, max_degree + 1):
@@ -277,6 +294,7 @@ def intertwining_report(algebra, max_length=5):
 
     The identity holds for any bracket, Leibniz or not, so it certifies
     the code of the boundaries and the embedding, not the algebra."""
+    require_int(max_length, "max_length")
     m = algebra.dim
     failures = []
     for n in range(1, max_length + 1):
@@ -296,66 +314,23 @@ def _shifted_homology(dims, ranks):
             for n in range(len(dims) - 1)}
 
 
-def grading(algebra):
-    """Integer letter weights of the finest grading of the algebra.
-
-    A grading gives each basis letter a weight w_a with w_k = w_a + w_b
-    wherever c_ab^k != 0, so the gradings are the nullspace of one row
-    e_k - e_a - e_b per nonzero structure constant.  Returns the weight
-    of letter a at index a - 1, as a tuple of ints with one entry per
-    nullspace basis vector (scaled to integers); every tuple is empty
-    when the zero grading is the only one.
-    """
-    rows = []
-    for (a, b), entry in algebra.items():
-        for k in entry:
-            row = {k - 1: 1}
-            _add_term(row, a - 1, -1)
-            _add_term(row, b - 1, -1)
-            rows.append(row)
-    basis = [_as_int_vector(v)[0] for v in nullspace(rows, algebra.dim)]
-    return [tuple(v.get(i, 0) for v in basis) for i in range(algebra.dim)]
-
-
-def toral(algebra, letters):
-    """Integer letter weights of the toral elements of the algebra.
-
-    x = sum_a x_a e_a is toral when [x, e_b] = lambda_b e_b for every b:
-    the nullspace of the off-diagonal conditions sum_a x_a c_ab^k = 0 (k
-    != b), with lambda_b = sum_a x_a c_ab^b.  Returns lambda, scaled to a
-    tuple of ints, for each nullspace basis vector where it is nonzero.
-    Left multiplication is a derivation, so lambda_k = lambda_a +
-    lambda_b wherever c_ab^k != 0: a toral weight is a grading, and when
-    the finest grading is zero (letters, as grading() gives it) [] comes
-    back with nothing solved.
-    """
-    if not any(letters):
-        return []
-    m = algebra.dim
-    rows, diagonal = {}, {}
-    for (a, b), entry in algebra.items():
-        for k, c in entry.items():
-            if k == b:
-                diagonal[a - 1, b - 1] = c
-            else:
-                rows.setdefault((k, b), {})[a - 1] = c
-    out = []
-    for x in nullspace(list(rows.values()), m):
-        lam = {}
-        for (a, b), c in diagonal.items():
-            _add_term(lam, b, c * x.get(a, 0))
-        if lam:
-            ints = _as_int_vector(lam)[0]
-            out.append(tuple(ints.get(b, 0) for b in range(m)))
-    return out
-
-
 def _group(keys, items):
     # items grouped by their keys, each group in input order
     out = {}
     for key, item in zip(keys, items):
         out.setdefault(key, []).append(item)
     return out
+
+
+def _prefix_blocks(letters, keys, items):
+    # the words (a,) + u by weight, each u an item keyed by its weight:
+    # {weight: [(a, the items at weight - wt(a))]}, a in order
+    below = _group(keys, items)
+    top = {}
+    for a, la in enumerate(letters, 1):
+        for v, us in below.items():
+            top.setdefault(tuple(map(sum, zip(la, v))), []).append((a, us))
+    return top
 
 
 def _ranks(weights, blocks, toral, first):
@@ -412,26 +387,40 @@ def homology(algebra, max_degree=4, loday=False):
     solve, and each block is a generator of them: past the column where
     a block's rank meets its bound none is built.  del_2 alone comes from
     boundary_matrix: over the letters its coordinates are the bracket
-    expansion itself.  del_L comes up the degrees from its prefix
-    recursion (loday_matrix), whole below the top, which needs degree
-    N-1 in full.  The top is generated per block: at weight w, the words
-    (a,) + u with u at weight w - wt(a), in lex order, so the ranks pull
-    the columns they would pull from the whole degree.
+    expansion itself.  The top is generated per block (_prefix_blocks):
+    at weight w, the words (a,) + u with u at weight w - wt(a), in lex
+    order, each made when pulled, so the ranks pull the columns they
+    would pull from the whole degree.  del_L comes up the degrees from
+    its prefix recursion (loday_matrix), whole below the top, which
+    needs degree N-1 in full, and shares that top.
 
-    No block of nonzero toral weight is ranked.  The letter weights end
-    with those of toral(), gradings that split no block.  For x toral,
-    [x, e_b] = lambda_b e_b, the Cartan homotopy L_x = del o i_x + i_x o
-    del (L_x acting letter by letter, i_x putting x in front) holds on
-    T^n, n >= 1, as the del_L recursion, and on F^n, n >= 2: the signed
-    letter deletion delta(u) = sum_i (-1)^i u^_i (x) u_i (u^_i is u
-    without u_i) kills eps(w) for words of length >= 2 (induct on eps{a,
-    w} = a (x) eps(w) - (-1)^n eps(w) (x) a), so del_L(eps(w) (x) a) =
-    del_L(eps(w)) (x) a and the identity follows through the
-    intertwining.  L_x scales a word by its toral weight t, so a cycle z
+    From del_3 on, del of a source word is built from del of its tail by
+    the Cartan homotopy below, del((a,) + b) = a.b - (a,) + del(b): a
+    copied term dict and a letter-wise action in place of the pairwise
+    expansion (_cartan_boundary).  Each degree up to N-2 keeps, for the
+    next one only, del of the words whose columns it built and of the
+    tails that no column built, expanded when first needed: one degree
+    is kept at a time.  Degrees N-1 and N keep nothing and build from
+    degree N-2's, the top in two steps: where the constants are dense
+    the top's tails cover nearly all of F^(N-1), whose boundaries would
+    raise the peak memory.  Length 2 stays direct: del{a, b} = [a, b] +
+    [b, a] breaks the recursion there.
+
+    The Cartan homotopy L_x = del o i_x + i_x o del (L_x acting letter by
+    letter, i_x putting x in front) holds for every x in g on T^n, n >=
+    1, as the del_L recursion, and on F^n, n >= 2: the signed letter
+    deletion delta(u) = sum_i (-1)^i u^_i (x) u_i (u^_i is u without u_i)
+    kills eps(w) for words of length >= 2 (induct on eps{a, w} = a (x)
+    eps(w) - (-1)^n eps(w) (x) a), so del_L(eps(w) (x) a) = del_L(eps(w))
+    (x) a and the identity follows through the intertwining.  At n = 1,
+    del{a, b} = [a, b] + [b, a] breaks it.  No block of nonzero toral
+    weight is ranked.  The letter weights end with those of toral(),
+    gradings that split no block.  For x toral, [x, e_b] = lambda_b e_b,
+    L_x scales a word by its toral weight t, so a cycle z
     at t != 0 is del(i_x z) / t: the block of del_(n+1) at t has its
     bound as rank.  From del_3 on (del_L from degree 2) such a block is
-    not ranked, and none of its del columns is built.  At n = 1, del{a,
-    b} = [a, b] + [b, a] breaks the identity, so del_2 is always ranked.
+    not ranked, and none of its del columns is built; del_2 is always
+    ranked.
     HA_n (n >= 1) and HL sit at toral weight 0.  HL of a semisimple Lie
     algebra vanishes (Pirashvili, Ann. Inst. Fourier 44, 1994); the
     Leibniz complex and its homotopies are in Loday-Pirashvili, Math.
@@ -453,21 +442,37 @@ def homology(algebra, max_degree=4, loday=False):
     weights = {n: list(map(weight, ws)) for n, ws in sources.items()}
     dims = {n: len(ws) for n, ws in sources.items()}
     dims[max_degree] = superwitt_dim(m, max_degree)
-    sources[max_degree] = [(a,) + b for a in range(1, m + 1)
-                           for b in sources[max_degree - 1]]
+
+    dels = {}   # del of source words of one degree, N-2 at most, by word
 
     def block(n):
         # {weight: columns of del_n at that weight}
+        nonlocal dels
         if n == 2 < max_degree:
             # the benchmark's trace records its assembly span by wrapping
             # boundary_matrix (test_traced_output_is_byte_identical fails
             # without it); the call stays until ROADMAP item 6's spans
             return _group(weights[2], boundary_matrix(algebra, 2))
         dst = free_lie_basis(m, n - 1)
-        keys = weights[n] if n < max_degree else map(weight, sources[n])
-        return {w: (dst.pivot_values(boundary_word_terms(algebra, v))
-                    for v in vs)
-                for w, vs in _group(keys, sources[n]).items()}
+        # low holds del of the suffixes of length ell: degree n - 1, or
+        # N - 2 at degrees N - 1 and N, which keep nothing.  The columns
+        # of degree n are all pulled or dropped before block(n + 1) runs
+        low, ell = dels, max(2, min(n, max_degree - 1) - 1)
+        if n < max_degree - 1:
+            dels = {}
+
+        def column(v):
+            terms = _cartan_boundary(algebra, v, low, ell)
+            if n < max_degree - 1:
+                dels[v] = terms
+            return dst.pivot_values(terms)
+
+        if n < max_degree:
+            return {w: map(column, vs)
+                    for w, vs in _group(weights[n], sources[n]).items()}
+        return {w: (column((a,) + b) for a, bs in pairs for b in bs)
+                for w, pairs in _prefix_blocks(
+                    letters, weights[n - 1], sources[n - 1]).items()}
 
     ranks = _ranks(weights, map(block, range(2, max_degree + 1)),
                    len(lams), 3)

@@ -32,7 +32,13 @@ pivot p is e_p minus the residue of e_p.  They return sparse rows too.
 Beside the engine sits a rank modulo a word-sized prime, a lower bound
 on the rank over Q.  rank() uses it only for callers that hold a proven
 upper bound (homology, by del o del = 0): when the two meet, the rank is
-exact without elimination over Z; otherwise SparseEchelon decides.
+exact without elimination over Z; otherwise SparseEchelon decides.  The
+modular pass reduces lazily: a residue's entries stay unreduced ints
+while the stored rows (monic, reduced mod p) are applied, only the
+coefficient at each pivot is taken mod p (a row whose coefficient is 0
+mod p is skipped), and the residue is reduced once at the end, which
+drops its entries that are multiples of p.  Each update adds a product
+below p^2, so the ints stay small, and no % runs per entry.
 rank() takes any iterable of columns and pulls them one at a time, so a
 caller can build its columns on demand: the modular pass stops at the
 column that meets the bound, and the exact fallback sees every column.
@@ -218,38 +224,33 @@ def _rank_mod_prime(vectors, stop=None):
     # and a minor that is nonzero mod p is nonzero.  Rows are monic and
     # visited as in SparseEchelon._reduce: in insertion order, only the
     # rows whose pivot the residue holds, each pivoting at the highest
-    # index of its residue, as rank()'s exact fallback does.  Once the
-    # rank reaches stop no further vector is pulled.
+    # index of its residue, as rank()'s exact fallback does.  A residue
+    # stays unreduced until its rows are applied; only the coefficient at
+    # a pivot is reduced first.  Once the rank reaches stop no further
+    # vector is pulled.
     p = _PRIME
     rows, rowpiv, pivots = [], [], {}
     if stop == 0:
         return 0
     for vec in vectors:
-        res = {}
-        for i, c in _as_int_vector(vec)[0].items():
-            c %= p
-            if c:
-                res[i] = c
+        res = _as_int_vector(vec)[0]
         heap = [pivots[i] for i in res if i in pivots]
         heapify(heap)
         while heap:
             k = heappop(heap)
-            q = res.get(rowpiv[k])
+            q = res[rowpiv[k]] % p
             if not q:
-                continue      # cancelled again, or pushed twice
+                continue      # 0 mod p: cancelled, or pushed twice
             for i, rv in rows[k].items():
                 v = res.get(i)
                 if v is None:
-                    res[i] = -q * rv % p
+                    res[i] = -q * rv
                     j = pivots.get(i)
                     if j is not None:
                         heappush(heap, j)
                 else:
-                    v = (v - q * rv) % p
-                    if v:
-                        res[i] = v
-                    else:
-                        del res[i]
+                    res[i] = v - q * rv
+        res = {i: c % p for i, c in res.items() if c % p}
         if res:
             piv = max(res)
             inv = pow(res[piv], -1, p)

@@ -27,6 +27,8 @@ extraction in complexes.py work.
 
 import itertools
 
+from .errors import require_int
+
 
 def _add_term(d, w, c):
     v = d.get(w, 0) + c
@@ -103,6 +105,7 @@ def projector_report(max_length=6):
     to max_length therefore certifies every word of those lengths over
     every alphabet.
     """
+    require_int(max_length, "max_length")
     failures = []
     for n in range(1, max_length + 1):
         w = tuple(range(1, n + 1))

@@ -497,8 +497,22 @@ def test_homology_builds_no_top_degree_slice(monkeypatch):
     assert sorted(built) == [(3, n) for n in range(1, 6)]
 
 
+def _count_columns(monkeypatch):
+    # how often the boundary of each source word of del_3 .. del_N is
+    # built by the Cartan homotopy, as it happens
+    built = Counter()
+    build = complexes._cartan_boundary
+
+    def counting(algebra, word, low, ell):
+        built[word] += 1
+        return build(algebra, word, low, ell)
+
+    monkeypatch.setattr(complexes, "_cartan_boundary", counting)
+    return built
+
+
 def _count_expansions(monkeypatch):
-    # how often each source word's boundary is expanded, as it happens
+    # how often boundary_word_terms expands each word, as it happens
     expanded = Counter()
     expand = complexes.boundary_word_terms
 
@@ -519,16 +533,17 @@ def test_homology_builds_top_columns_only_up_to_the_bound(monkeypatch):
     # block was ranked).  doubleL2 has homology at F^4,
     # but only in some weights: the other blocks of del_5 meet their
     # bounds, or have bound 0 and build nothing, so 54 of its 240 are
-    # built.  A column is built by expanding its source word's boundary
-    expanded = _count_expansions(monkeypatch)
+    # built.  A column is built from its source word's boundary, which
+    # _cartan_boundary makes from the boundary of a suffix
+    built = _count_columns(monkeypatch)
     rep = homology(catalog.get("sl2"), max_degree=7)
     assert rep["ranks"][7] == rep["dims"][6] - rep["ranks"][6] == 91
-    top = [w for w in expanded if len(w) == 7]
+    top = [w for w in built if len(w) == 7]
     assert len(top) == 44 < 3 * free_lie_basis(3, 6).dim == 372
-    expanded.clear()
+    built.clear()
     rep = homology(catalog.get("doubleL2"), max_degree=5)
     assert rep["ranks"][5] == 44 < rep["dims"][4] - rep["ranks"][4] == 47
-    top = [w for w in expanded if len(w) == 5]
+    top = [w for w in built if len(w) == 5]
     assert len(top) == 54 < 4 * free_lie_basis(4, 4).dim == 240
 
 
@@ -550,14 +565,19 @@ def _count_tensor_columns(monkeypatch):
 
 
 def test_homology_builds_each_boundary_once(monkeypatch):
-    # no source word's boundary is expanded twice in one homology call,
-    # and below the top degree the source words are basis words.  No
-    # tensor column is built twice either: del_L comes up the degrees
+    # no source word's boundary is built twice in one homology call, and
+    # below the top degree the source words are basis words.  From del_3
+    # on a boundary is built from a suffix's by the Cartan homotopy, or
+    # expanded directly when it is such a suffix and was not built: never
+    # both, nor twice.  The words of F^2 are expanded for del_2 and again
+    # as suffixes.
+    # No tensor column is built twice either: del_L comes up the degrees
     # from its prefix recursion, degrees 2..N-1 whole, m^d columns at
     # degree d, and the top degree builds only the columns the ranks
     # pull: 1,373 of 4,096 for doubleL2 to 6 (2,733 columns in all, 5,456
     # with the top built whole) and 1,574 of 4,096 for L2 to 12 (5,666 in
     # all, 8,188 whole)
+    columns = _count_columns(monkeypatch)
     expanded = _count_expansions(monkeypatch)
     built = _count_tensor_columns(monkeypatch)
     pulled = []
@@ -570,9 +590,13 @@ def test_homology_builds_each_boundary_once(monkeypatch):
     for name, N, top in (("doubleL2", 6, 1373), ("L2", 12, 1574)):
         A = catalog.get(name)
         homology(A, N, loday=True)
-        assert set(expanded.values()) == {1}, name
+        pairs = {w: c for w, c in expanded.items() if len(w) == 2}
+        made = columns + Counter(expanded) - Counter(pairs)
+        assert set(made.values()) == {1} == set(columns.values()), name
+        assert set(pairs) == set(free_lie_basis(A.dim, 2).words), name
+        assert set(pairs.values()) == {1, 2}, name
         for n in range(2, N):
-            below = {w for w in expanded if len(w) == n}
+            below = {w for w in made | expanded if len(w) == n}
             assert below <= set(free_lie_basis(A.dim, n).words), (name, n)
         words = Counter((d, a, j) for d, a, j, _ in built)
         assert set(words.values()) == {1}, name
@@ -581,7 +605,7 @@ def test_homology_builds_each_boundary_once(monkeypatch):
         pulled_ids = {id(v) for v in pulled}
         assert all(id(col) in pulled_ids for d, _, _, col in built
                    if d == N), name
-        for calls in (expanded, built, pulled):
+        for calls in (columns, expanded, built, pulled):
             calls.clear()
 
 
@@ -955,6 +979,49 @@ def test_cartan_homotopy_identity():
         assert at_one == {(a, b) for (b, a), _ in A.items()}, name
 
 
+def _seeded_bracket(rng, m):
+    # one integer constant on about half the pairs, drawn again until the
+    # Leibniz identity fails
+    while True:
+        brackets = {ij: {rng.randint(1, m): rng.choice((-2, -1, 1, 3))}
+                    for ij in itertools.product(range(1, m + 1), repeat=2)
+                    if rng.random() < 0.5}
+        A = LeibnizAlgebra(m, brackets, name=f"seeded{m}")
+        if not A.validate().passed:
+            return A
+
+
+def test_cartan_boundary_matches_the_pairwise_expansion():
+    # del((a,) + b) = a.b - (a,) + del(b) is formal, so it holds for any
+    # bracket: homology's column builder equals boundary_word_terms on
+    # every word of length 3 to 6 (to 5 over four letters, for time) in
+    # one step from the suffix one letter shorter, as below degree N - 1,
+    # and at lengths 4 and 5 in two, as at degrees N - 1 and N.  A
+    # missing suffix boundary is expanded and added.  Up from a letter,
+    # where del is 0, the step gives [a, b] alone and misses [b, a]
+    rng = random.Random(33)
+    algebras = [catalog.get(name) for name in catalog.ALL_NAMES]
+    algebras += [_seeded_bracket(rng, m) for m in (2, 2, 3, 3)]
+    for A in algebras:
+        words = [w for n in range(2, 7 if A.dim < 4 else 6)
+                 for w in tensor_words(A.dim, n)]
+        expanded = {w: boundary_word_terms(A, w) for w in words}
+        steps = [(w, len(w) - 1) for w in words[A.dim ** 2:]]
+        steps += [(w, len(w) - 2) for w in words if 4 <= len(w) < 6]
+        assert not [(w, ell) for w, ell in steps
+                    if complexes._cartan_boundary(A, w, expanded, ell)
+                    != expanded[w]], A.name
+        low = {}
+        complexes._cartan_boundary(A, words[-1], low, 3)
+        assert low == {words[-1][-3:]: expanded[words[-1][-3:]]}, A.name
+        letters = {(x,): {} for x in range(1, A.dim + 1)}
+        failures = {w for w in words[:A.dim ** 2]
+                    if complexes._cartan_boundary(A, w, letters, 1)
+                    != expanded[w]}
+        assert failures == {(a, b) for a, b in words[:A.dim ** 2]
+                            if A.bracket(b, a)}, A.name
+
+
 def test_cartan_homotopy_check_fails_on_a_wrong_action():
     # one structure constant of sl2 changed in the action alone
     A = catalog.get("sl2")
@@ -1057,11 +1124,12 @@ def test_homology_reads_out_every_degree(monkeypatch):
 
     monkeypatch.setattr(complexes.LieBasisSlice, "coords", recording)
     expanded = _count_expansions(monkeypatch)
+    built = _count_columns(monkeypatch)
     sl2 = catalog.get("sl2")
     homology(sl2, 8)
     [lam] = complexes.toral(sl2, complexes.grading(sl2))
-    toral_weights = {len(w): set() for w in expanded}
-    for w in expanded:
+    toral_weights = {n: set() for n in range(2, 9)}
+    for w in set(built) | {w for w in expanded if len(w) == 2}:
         toral_weights[len(w)].add(sum(lam[a - 1] for a in w))
     assert toral_weights[2] == {-4, -2, 0, 2, 4}
     assert all(toral_weights[n] == {0} for n in range(3, 9))

@@ -15,12 +15,14 @@ from leibcx.cochains import (Cochain, anti_cyclic_basis,
                              from_implicit, is_anti_cyclic, lp_coboundary,
                              same_row_space, subcomplex_report,
                              symmetry_identity_rows, to_implicit)
-from leibcx.complexes import (DGLA, boundary_matrix, free_lie_basis,
-                              homology, intertwining_report, loday_matrix)
+from leibcx.complexes import (DGLA, boundary_matrix, boundary_square_report,
+                              free_lie_basis, homology, intertwining_report,
+                              loday_matrix)
 from leibcx.duality import (DualBracketSum, contract, dual_bracket_word,
-                            structure_tensors)
+                            rotation_sum_report, structure_tensors)
 from leibcx.errors import InputError
 from leibcx.exactla import nullspace, transpose
+from leibcx.words import projector_report
 from support import dual_differential, lower
 
 
@@ -328,6 +330,16 @@ def test_library_calls_refuse_bad_arguments():
         (lambda: free_lie_basis(2, True), "positive integer"),
         (lambda: boundary_matrix(L2, 1), "start at degree 2"),
         (lambda: loday_matrix(L2, 1), "start at degree 2"),
+        # a float degree, and a bool, which would pass for 1
+        (lambda: loday_matrix(L2, 2.5), "degree must be an integer"),
+        (lambda: boundary_square_report(L2, 2.5), "must be an integer"),
+        (lambda: intertwining_report(L2, 2.5), "must be an integer"),
+        (lambda: projector_report(2.5), "must be an integer"),
+        (lambda: rotation_sum_report(2.5), "must be an integer"),
+        (lambda: anti_cyclic_constraint_rows(2, 2.5), "must be an integer"),
+        (lambda: coboundary_matrix_on_anti_cyclic(L2, True),
+         "degree must be an integer"),
+        (lambda: subcomplex_report(L2, True), "degree must be an integer"),
         (lambda: DGLA(L2, 1), "at least 2"),
         (lambda: DGLA(L2, 2.5), "at least 2"),
         (lambda: DGLA(L2, 2).word_element((1, 2, 1)), "word degree 3"),

@@ -402,3 +402,51 @@ def test_rank_mod_prime_matches_exact_rank():
                 ech.insert(v)
             ranks.add(ech.rank)
         assert len(ranks) == 1, trial
+
+
+def _dense_rank_mod_prime(vecs, ncols):
+    # rank over GF(p) by dense Gauss elimination, a Fraction read as its
+    # numerator over its denominator's inverse mod p
+    p = _PRIME
+    rows = [[c.numerator * pow(c.denominator, -1, p) % p
+             for c in map(Fraction, (v.get(i, 0) for i in range(ncols)))]
+            for v in vecs]
+    r = 0
+    for col in range(ncols):
+        piv = next((k for k in range(r, len(rows)) if rows[k][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][col], -1, p)
+        for k in range(r + 1, len(rows)):
+            f = rows[k][col] * inv % p
+            rows[k] = [(x - f * y) % p for x, y in zip(rows[k], rows[r])]
+        r += 1
+    return r
+
+
+def test_rank_mod_prime_matches_dense_elimination_mod_p():
+    # the modular pass keeps its residues unreduced and reduces them mod
+    # p at the end.  Seeded inputs hold entries that are multiples of p
+    # and combinations that are dependent mod p only, whose residues
+    # cancel to nonzero multiples of p; such a residue counts for nothing
+    p = _PRIME
+    rng = random.Random(5)
+    below_exact = 0
+    for trial in range(30):
+        ncols = rng.choice((5, 9))
+        vecs = [_random_vector(rng, ncols, 0.6, trial % 3 == 0)
+                for _ in range(rng.randint(2, ncols))]
+        for v in vecs[:2]:
+            v[rng.randrange(ncols)] = p * rng.randint(-2, 2)
+        for _ in range(3):
+            v = _random_combination(rng, vecs)
+            for i in rng.sample(range(ncols), 2):
+                v[i] = v.get(i, 0) + p * rng.randint(1, 3)
+            vecs.append({i: c for i, c in v.items() if c})
+        vecs.append({rng.randrange(ncols): -p})
+        rng.shuffle(vecs)
+        want = _dense_rank_mod_prime(vecs, ncols)
+        assert _rank_mod_prime(vecs) == want, trial
+        below_exact += want < rank(vecs, upper=len(vecs) + 1)
+    assert below_exact >= 10
