@@ -27,13 +27,12 @@ _HOMES = {
                  "to_implicit", "from_implicit"),
     "complexes": ("DGLA", "boundary_apply", "boundary_matrix",
                   "boundary_word_terms", "dgla_suite", "free_lie_basis",
-                  "homology", "intertwining_report",
+                  "grading", "homology", "intertwining_report",
                   "ker2_invariance", "ker2_invariance_reports",
                   "loday_apply", "loday_matrix", "omega0", "superwitt_dim"),
     "duality": ("DualBracketSum", "contract", "dual_bracket_word",
                 "recovery_report", "rotation_sum", "structure_tensors"),
     "errors": ("InputError",),
-    "gradings": ("grading",),
     "words": ("embedded_word", "projector_report", "super_commutator"),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items()

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebras import require_dim, require_leibniz, require_twist
-from .errors import InputError, require_int
+from .errors import InputError
 from .exactla import SparseEchelon, _echelon, nullspace, transpose
 from .words import (_add_term, _combine, _extend, embedded_word,
                     tensor_words)
@@ -180,7 +180,8 @@ def coboundary_matrix_on_anti_cyclic(algebra, degree):
     of del w over F^(n+1), so the matrix is the transpose of del_(n+2),
     and that is how it is computed; subcomplex_report certifies it.
     """
-    require_int(degree, "the degree")
+    if type(degree) is not int:
+        raise InputError("the degree must be an integer")
     return transpose(boundary_matrix(algebra, degree + 2),
                      free_lie_basis(algebra.dim, degree + 1).dim)
 
@@ -195,7 +196,8 @@ def subcomplex_report(algebra, degree):
     sweep), "transpose": its values on the basis words of F^(n+2) equal
     coboundary_matrix_on_anti_cyclic}.
     """
-    require_int(degree, "the degree")
+    if type(degree) is not int:
+        raise InputError("the degree must be an integer")
     m = algebra.dim
     length = degree + 2
     dst = free_lie_basis(m, length - 1)
@@ -281,7 +283,8 @@ def anti_cyclic_constraint_rows(m, arity):
     arity * A(w) - A(expansion of {w}) = 0, the defect of the unit
     cochains, one per coordinate.
     """
-    require_int(arity, "the arity")
+    if type(arity) is not int:
+        raise InputError("the arity must be an integer")
     words = tensor_words(m, arity)
     idx = {w: i for i, w in enumerate(words)}
     units = {w: {i: 1} for w, i in idx.items()}

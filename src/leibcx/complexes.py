@@ -40,9 +40,8 @@ from functools import lru_cache
 from itertools import groupby, islice, product
 
 from .algebras import ideal_residue, require_leibniz, symmetric_ideal
-from .errors import InputError, require_int
-from .exactla import SparseEchelon, _as_int_vector, rank
-from .gradings import grading, toral
+from .errors import InputError
+from .exactla import SparseEchelon, _as_int_vector, nullspace, rank
 from .words import (_add_term, _combine, _extend, embedded_word,
                     super_commutator, tensor_words)
 
@@ -213,8 +212,7 @@ def loday_matrix(algebra, n):
     (k - u_j) m^(d-2-j) (_loday_columns, which homology's lazy top shares).
     loday_apply keeps the direct pairwise formula.
     """
-    require_int(n, "the degree")
-    if n < 2:
+    if type(n) is not int or n < 2:
         raise InputError("tensor boundary matrices start at degree 2")
     return deque(_loday_degrees(algebra, n), maxlen=1).pop()
 
@@ -265,7 +263,8 @@ def boundary_square_report(algebra, max_degree=5):
     not, so it certifies the code, not the algebra.  Returns a dict of
     named checks with failure lists.
     """
-    require_int(max_degree, "max_degree")
+    if type(max_degree) is not int:
+        raise InputError("max_degree must be an integer")
     m = algebra.dim
     failures = {"main": [], "loday": [], "variants": []}
     for n in range(2, max_degree + 1):
@@ -294,7 +293,8 @@ def intertwining_report(algebra, max_length=5):
 
     The identity holds for any bracket, Leibniz or not, so it certifies
     the code of the boundaries and the embedding, not the algebra."""
-    require_int(max_length, "max_length")
+    if type(max_length) is not int:
+        raise InputError("max_length must be an integer")
     m = algebra.dim
     failures = []
     for n in range(1, max_length + 1):
@@ -312,6 +312,60 @@ def _shifted_homology(dims, ranks):
     # where dims covers degrees 1..N and ranks degrees 2..N
     return {n: dims[n + 1] - ranks.get(n + 1, 0) - ranks.get(n + 2, 0)
             for n in range(len(dims) - 1)}
+
+
+def grading(algebra):
+    """Integer letter weights of the finest grading of the algebra.
+
+    A grading gives each basis letter a weight w_a with w_k = w_a + w_b
+    wherever c_ab^k != 0, so the gradings are the nullspace of one row
+    e_k - e_a - e_b per nonzero structure constant.  Returns the weight
+    of letter a at index a - 1, as a tuple of ints with one entry per
+    nullspace basis vector (scaled to integers); every tuple is empty
+    when the zero grading is the only one.
+    """
+    rows = []
+    for (a, b), entry in algebra.items():
+        for k in entry:
+            row = {k - 1: 1}
+            _add_term(row, a - 1, -1)
+            _add_term(row, b - 1, -1)
+            rows.append(row)
+    basis = [_as_int_vector(v)[0] for v in nullspace(rows, algebra.dim)]
+    return [tuple(v.get(i, 0) for v in basis) for i in range(algebra.dim)]
+
+
+def toral(algebra, letters):
+    """Integer letter weights of the toral elements of the algebra.
+
+    x = sum_a x_a e_a is toral when [x, e_b] = lambda_b e_b for every b:
+    the nullspace of the off-diagonal conditions sum_a x_a c_ab^k = 0 (k
+    != b), with lambda_b = sum_a x_a c_ab^b.  Returns lambda, scaled to a
+    tuple of ints, for each nullspace basis vector where it is nonzero.
+    Left multiplication is a derivation, so lambda_k = lambda_a +
+    lambda_b wherever c_ab^k != 0: a toral weight is a grading, and when
+    the finest grading is zero (letters, as grading() gives it) [] comes
+    back with nothing solved.
+    """
+    if not any(letters):
+        return []
+    m = algebra.dim
+    rows, diagonal = {}, {}
+    for (a, b), entry in algebra.items():
+        for k, c in entry.items():
+            if k == b:
+                diagonal[a - 1, b - 1] = c
+            else:
+                rows.setdefault((k, b), {})[a - 1] = c
+    out = []
+    for x in nullspace(list(rows.values()), m):
+        lam = {}
+        for (a, b), c in diagonal.items():
+            _add_term(lam, b, c * x.get(a, 0))
+        if lam:
+            ints = _as_int_vector(lam)[0]
+            out.append(tuple(ints.get(b, 0) for b in range(m)))
+    return out
 
 
 def _group(keys, items):
@@ -387,40 +441,37 @@ def homology(algebra, max_degree=4, loday=False):
     solve, and each block is a generator of them: past the column where
     a block's rank meets its bound none is built.  del_2 alone comes from
     boundary_matrix: over the letters its coordinates are the bracket
-    expansion itself.  The top is generated per block (_prefix_blocks):
-    at weight w, the words (a,) + u with u at weight w - wt(a), in lex
-    order, each made when pulled, so the ranks pull the columns they
-    would pull from the whole degree.  del_L comes up the degrees from
-    its prefix recursion (loday_matrix), whole below the top, which
-    needs degree N-1 in full, and shares that top.
+    expansion itself.  del_L comes up the degrees from its prefix
+    recursion (loday_matrix), whole below the top, which needs degree
+    N-1 in full.  The top is generated per block (_prefix_blocks, shared
+    with del_L): at weight w, the words (a,) + u with u at weight w -
+    wt(a), in lex order, each made when pulled, so the ranks pull the
+    columns they would pull from the whole degree.
 
-    From del_3 on, del of a source word is built from del of its tail by
-    the Cartan homotopy below, del((a,) + b) = a.b - (a,) + del(b): a
-    copied term dict and a letter-wise action in place of the pairwise
-    expansion (_cartan_boundary).  Each degree up to N-2 keeps, for the
-    next one only, del of the words whose columns it built and of the
-    tails that no column built, expanded when first needed: one degree
-    is kept at a time.  Degrees N-1 and N keep nothing and build from
-    degree N-2's, the top in two steps: where the constants are dense
-    the top's tails cover nearly all of F^(N-1), whose boundaries would
-    raise the peak memory.  Length 2 stays direct: del{a, b} = [a, b] +
-    [b, a] breaks the recursion there.
+    From del_4 on, a column is built from del of its tail by the Cartan
+    homotopy below, del((a,) + b) = a.b - (a,) + del(b)
+    (_cartan_boundary).  del_3 expands its words.  Degrees 3..K, K =
+    max(3, N-2), keep del of the words they built, and of the tails no
+    column built, for the next degree only, so no boundary is made
+    twice.  The degrees above K keep nothing and build from K's: with
+    dense constants the boundaries of F^(N-1) would raise the peak
+    memory.
 
-    The Cartan homotopy L_x = del o i_x + i_x o del (L_x acting letter by
-    letter, i_x putting x in front) holds for every x in g on T^n, n >=
-    1, as the del_L recursion, and on F^n, n >= 2: the signed letter
-    deletion delta(u) = sum_i (-1)^i u^_i (x) u_i (u^_i is u without u_i)
-    kills eps(w) for words of length >= 2 (induct on eps{a, w} = a (x)
-    eps(w) - (-1)^n eps(w) (x) a), so del_L(eps(w) (x) a) = del_L(eps(w))
-    (x) a and the identity follows through the intertwining.  At n = 1,
-    del{a, b} = [a, b] + [b, a] breaks it.  No block of nonzero toral
-    weight is ranked.  The letter weights end with those of toral(),
-    gradings that split no block.  For x toral, [x, e_b] = lambda_b e_b,
-    L_x scales a word by its toral weight t, so a cycle z
-    at t != 0 is del(i_x z) / t: the block of del_(n+1) at t has its
-    bound as rank.  From del_3 on (del_L from degree 2) such a block is
-    not ranked, and none of its del columns is built; del_2 is always
-    ranked.
+    No block of nonzero toral weight is ranked.  The letter weights end
+    with those of toral(), gradings that split no block.  The Cartan
+    homotopy L_x = del o i_x + i_x o del (L_x acting letter by letter,
+    i_x putting x in front) holds for every x on T^n, n >= 1, as the
+    del_L recursion, and on F^n, n >= 2: the signed letter deletion
+    delta(u) = sum_i (-1)^i u^_i (x) u_i (u^_i is u without u_i) kills
+    eps(w) for words of length >= 2 (induct on eps{a, w} = a (x) eps(w)
+    - (-1)^n eps(w) (x) a), so del_L(eps(w) (x) a) = del_L(eps(w)) (x) a
+    and the identity follows through the intertwining.  For x toral,
+    [x, e_b] = lambda_b e_b, L_x scales a word by its toral weight t, so
+    a cycle z at t != 0 is del(i_x z) / t: the block of del_(n+1) at t
+    has its bound as rank.  From del_3 on (del_L from degree 2) such a
+    block is not ranked, and none of its del columns is built.  At n =
+    1, del{a, b} = [a, b] + [b, a] breaks the identity, so del_2 is
+    always ranked.
     HA_n (n >= 1) and HL sit at toral weight 0.  HL of a semisimple Lie
     algebra vanishes (Pirashvili, Ann. Inst. Fourier 44, 1994); the
     Leibniz complex and its homotopies are in Loday-Pirashvili, Math.
@@ -443,7 +494,10 @@ def homology(algebra, max_degree=4, loday=False):
     dims = {n: len(ws) for n, ws in sources.items()}
     dims[max_degree] = superwitt_dim(m, max_degree)
 
-    dels = {}   # del of source words of one degree, N-2 at most, by word
+    # del of the source words of one degree, by word, kept for the next
+    # degree only: degrees 3..K below N keep theirs, those above K build
+    # from K's
+    dels, K = {}, max(3, max_degree - 2)
 
     def block(n):
         # {weight: columns of del_n at that weight}
@@ -454,16 +508,16 @@ def homology(algebra, max_degree=4, loday=False):
             # without it); the call stays until ROADMAP item 6's spans
             return _group(weights[2], boundary_matrix(algebra, 2))
         dst = free_lie_basis(m, n - 1)
-        # low holds del of the suffixes of length ell: degree n - 1, or
-        # N - 2 at degrees N - 1 and N, which keep nothing.  The columns
-        # of degree n are all pulled or dropped before block(n + 1) runs
-        low, ell = dels, max(2, min(n, max_degree - 1) - 1)
-        if n < max_degree - 1:
+        # the columns of degree n are all pulled or dropped before
+        # block(n + 1) runs
+        low, keep = dels, n <= K and n < max_degree
+        if keep:
             dels = {}
 
         def column(v):
-            terms = _cartan_boundary(algebra, v, low, ell)
-            if n < max_degree - 1:
+            terms = (boundary_word_terms(algebra, v) if n <= 3 else
+                     _cartan_boundary(algebra, v, low, min(n - 1, K)))
+            if keep:
                 dels[v] = terms
             return dst.pivot_values(terms)
 

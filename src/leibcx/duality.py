@@ -20,7 +20,7 @@ against dual-basis functionals recovers the double's bracket exactly.
 from fractions import Fraction
 
 from .algebras import require_twist
-from .errors import InputError, require_int
+from .errors import InputError
 from .words import _add_term, _combine, _extend
 from .cochains import Cochain
 
@@ -140,7 +140,8 @@ def rotation_sum_report(max_length=5):
     extends the vanishing to arbitrary entries.  The unsigned sums are
     reported alongside (they do not vanish in general).
     """
-    require_int(max_length, "max_length")
+    if type(max_length) is not int:
+        raise InputError("max_length must be an integer")
     failures = []
     unsigned_nonzero = []
     for n in range(2, max_length + 1):

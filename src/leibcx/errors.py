@@ -7,10 +7,3 @@ class InputError(ValueError):
     The CLI maps this to exit code 2; mathematical check failures are
     reported data (exit code 1), never exceptions.
     """
-
-
-def require_int(value, what):
-    """Refuse a degree or length that is not an int: a float, or a bool,
-    which would pass for 0 or 1."""
-    if type(value) is not int:
-        raise InputError(f"{what} must be an integer")

@@ -27,7 +27,7 @@ extraction in complexes.py work.
 
 import itertools
 
-from .errors import require_int
+from .errors import InputError
 
 
 def _add_term(d, w, c):
@@ -105,7 +105,8 @@ def projector_report(max_length=6):
     to max_length therefore certifies every word of those lengths over
     every alphabet.
     """
-    require_int(max_length, "max_length")
+    if type(max_length) is not int:
+        raise InputError("max_length must be an integer")
     failures = []
     for n in range(1, max_length + 1):
         w = tuple(range(1, n + 1))

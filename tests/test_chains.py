@@ -498,7 +498,7 @@ def test_homology_builds_no_top_degree_slice(monkeypatch):
 
 
 def _count_columns(monkeypatch):
-    # how often the boundary of each source word of del_3 .. del_N is
+    # how often the boundary of each source word of del_4 .. del_N is
     # built by the Cartan homotopy, as it happens
     built = Counter()
     build = complexes._cartan_boundary
@@ -565,18 +565,16 @@ def _count_tensor_columns(monkeypatch):
 
 
 def test_homology_builds_each_boundary_once(monkeypatch):
-    # no source word's boundary is built twice in one homology call, and
-    # below the top degree the source words are basis words.  From del_3
-    # on a boundary is built from a suffix's by the Cartan homotopy, or
-    # expanded directly when it is such a suffix and was not built: never
-    # both, nor twice.  The words of F^2 are expanded for del_2 and again
-    # as suffixes.
-    # No tensor column is built twice either: del_L comes up the degrees
-    # from its prefix recursion, degrees 2..N-1 whole, m^d columns at
-    # degree d, and the top degree builds only the columns the ranks
-    # pull: 1,373 of 4,096 for doubleL2 to 6 (2,733 columns in all, 5,456
-    # with the top built whole) and 1,574 of 4,096 for L2 to 12 (5,666 in
-    # all, 8,188 whole)
+    # no source word's boundary is made twice in one homology call, and
+    # below the top degree the source words are basis words.  A boundary
+    # is expanded (del_2, del_3, and a tail that no column built) or, from
+    # del_4 on, built from a tail's by the Cartan homotopy: once, never
+    # both.  No tensor column is built twice either: del_L comes up the
+    # degrees from its prefix recursion, degrees 2..N-1 whole, m^d
+    # columns at degree d, and the top degree builds only the columns the
+    # ranks pull: 1,373 of 4,096 for doubleL2 to 6 (2,733 columns in all,
+    # 5,456 with the top built whole) and 1,574 of 4,096 for L2 to 12
+    # (5,666 in all, 8,188 whole)
     columns = _count_columns(monkeypatch)
     expanded = _count_expansions(monkeypatch)
     built = _count_tensor_columns(monkeypatch)
@@ -590,13 +588,11 @@ def test_homology_builds_each_boundary_once(monkeypatch):
     for name, N, top in (("doubleL2", 6, 1373), ("L2", 12, 1574)):
         A = catalog.get(name)
         homology(A, N, loday=True)
-        pairs = {w: c for w, c in expanded.items() if len(w) == 2}
-        made = columns + Counter(expanded) - Counter(pairs)
-        assert set(made.values()) == {1} == set(columns.values()), name
-        assert set(pairs) == set(free_lie_basis(A.dim, 2).words), name
-        assert set(pairs.values()) == {1, 2}, name
+        made = columns + expanded
+        assert set(made.values()) == {1}, name
+        assert {len(w) for w in columns} == set(range(4, N + 1)), name
         for n in range(2, N):
-            below = {w for w in made | expanded if len(w) == n}
+            below = {w for w in made if len(w) == n}
             assert below <= set(free_lie_basis(A.dim, n).words), (name, n)
         words = Counter((d, a, j) for d, a, j, _ in built)
         assert set(words.values()) == {1}, name
@@ -1114,23 +1110,32 @@ def test_toral_skip_starts_at_del_3(monkeypatch):
 
 def test_homology_reads_out_every_degree(monkeypatch):
     # no coordinate solve past F^1 (del_2 solves over the letters), and
-    # no column of nonzero toral weight is built from del_3 on
+    # no column of nonzero toral weight is read out from del_3 on.  del
+    # keeps the weight, so each word of a read-out del w has w's weight
+    sl2 = catalog.get("sl2")
+    [lam] = complexes.toral(sl2, complexes.grading(sl2))
+    toral_weights = {n: set() for n in range(2, 9)}
     solved = []
     coords = complexes.LieBasisSlice.coords
+    values = complexes.LieBasisSlice.pivot_values
 
     def recording(self, terms):
         solved.append(self.degree)
         return coords(self, terms)
 
+    def reading(self, terms):
+        toral_weights[self.degree + 1].update(
+            sum(lam[a - 1] for a in w) for w in terms)
+        return values(self, terms)
+
     monkeypatch.setattr(complexes.LieBasisSlice, "coords", recording)
+    monkeypatch.setattr(complexes.LieBasisSlice, "pivot_values", reading)
     expanded = _count_expansions(monkeypatch)
-    built = _count_columns(monkeypatch)
-    sl2 = catalog.get("sl2")
     homology(sl2, 8)
-    [lam] = complexes.toral(sl2, complexes.grading(sl2))
-    toral_weights = {n: set() for n in range(2, 9)}
-    for w in set(built) | {w for w in expanded if len(w) == 2}:
-        toral_weights[len(w)].add(sum(lam[a - 1] for a in w))
+    monkeypatch.setattr(complexes.LieBasisSlice, "pivot_values", values)
+    for w in expanded:
+        if len(w) == 2:
+            toral_weights[2].add(sum(lam[a - 1] for a in w))
     assert toral_weights[2] == {-4, -2, 0, 2, 4}
     assert all(toral_weights[n] == {0} for n in range(3, 9))
     homology(catalog.get("doubleL2"), 7)

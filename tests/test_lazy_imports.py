@@ -29,7 +29,7 @@ _LOADS = {
     ("homology", "catalog:sl2", "--max-degree", "3"): {
         "leibcx", "leibcx.algebras", "leibcx.catalog", "leibcx.cli",
         "leibcx.complexes", "leibcx.errors", "leibcx.exactla",
-        "leibcx.gradings", "leibcx.report", "leibcx.words"},
+        "leibcx.report", "leibcx.words"},
 }
 
 
