@@ -22,14 +22,14 @@ _HOMES = {
     "algebras": ("BilinearForm", "LeibnizAlgebra", "canonical_omega",
                  "check_anti_invariance", "double", "liezation",
                  "require_leibniz", "symmetric_ideal"),
+    "battery": ("DGLA", "boundary_apply", "dgla_suite", "intertwining_report",
+                "ker2_invariance", "ker2_invariance_reports", "loday_apply",
+                "loday_matrix", "omega0"),
     "cochains": ("Cochain", "anti_cyclic_basis", "classify_extension",
-                 "cohomology", "is_anti_cyclic", "lp_coboundary",
-                 "to_implicit", "from_implicit"),
-    "complexes": ("DGLA", "boundary_apply", "boundary_matrix",
-                  "boundary_word_terms", "dgla_suite", "free_lie_basis",
-                  "grading", "homology", "intertwining_report",
-                  "ker2_invariance", "ker2_invariance_reports",
-                  "loday_apply", "loday_matrix", "omega0", "superwitt_dim"),
+                 "is_anti_cyclic", "lp_coboundary", "to_implicit",
+                 "from_implicit"),
+    "complexes": ("boundary_matrix", "boundary_word_terms", "cohomology",
+                  "free_lie_basis", "grading", "homology", "superwitt_dim"),
     "duality": ("DualBracketSum", "contract", "dual_bracket_word",
                 "recovery_report", "rotation_sum", "structure_tensors"),
     "errors": ("InputError",),

@@ -24,7 +24,7 @@ Only argparse, os, sys and errors are imported at the top.  Each command
 and check suite imports what it calls at its head, so a cold process
 compiles only the modules its command runs: validate catalog:NAME loads
 catalog, algebras, words and report; liezation adds exactla; homology
-adds complexes and exactla; cohomology adds cochains too.
+and cohomology add complexes and exactla; dr and omega0 add battery.
 """
 
 import argparse
@@ -111,7 +111,7 @@ def _homology(algebra, args):
 
 
 def _cohomology(algebra, args):
-    from .cochains import cohomology
+    from .complexes import cohomology
     return cohomology(algebra, args.max_degree)
 
 

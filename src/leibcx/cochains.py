@@ -20,13 +20,13 @@ values on the basis words, and the basis cochains are from_implicit of
 the unit vectors.  The theorem used here: the coboundary preserves the
 anti-cyclic cochains, and in those implicit coordinates it is the
 transpose of the chain boundary two degrees up.  So the cochain side is
-not computed again: cohomology relabels the homology table, the
-coboundary matrix is a transposed boundary matrix, and an extension
-class is closed when its implicit vector pairs to zero with the columns
-of del_4, whose nullspace holds the cocycles it is reduced against.
-subcomplex_report certifies the theorem from the per-word coboundary;
-check --suite subcomplex and the tests run it.  lp_coboundary, the
-coboundary word by word, is the tests' reference.
+not computed again: cohomology (in complexes, beside homology) relabels
+the homology table, the coboundary matrix is a transposed boundary
+matrix, and an extension class is closed when its implicit vector pairs
+to zero with the columns of del_4, whose nullspace holds the cocycles it
+is reduced against.  subcomplex_report certifies the theorem from the
+per-word coboundary; check --suite subcomplex and the tests run it.
+lp_coboundary, the coboundary word by word, is the tests' reference.
 """
 
 from fractions import Fraction
@@ -37,8 +37,8 @@ from .errors import InputError
 from .exactla import SparseEchelon, _echelon, nullspace, transpose
 from .words import (_add_term, _combine, _extend, embedded_word,
                     tensor_words)
-from .complexes import (boundary_matrix, boundary_word_terms, free_lie_basis,
-                        homology)
+from .complexes import (boundary_matrix, boundary_word_terms, cohomology,
+                        free_lie_basis)
 
 
 class Cochain:
@@ -212,23 +212,6 @@ def subcomplex_report(algebra, degree):
     mat = coboundary_matrix_on_anti_cyclic(algebra, degree)
     return {"preserved": preserved,
             "transpose": rows == transpose(mat, len(rows))}
-
-
-def cohomology(algebra, max_degree=4):
-    """Anti-cyclic cohomology dimensions, degrees 0..max_degree-2.
-
-    By the transpose theorem the coboundary preserves the anti-cyclic
-    subcomplex and acts on degree n as the transpose of del_(n+2), so
-    this is the homology table relabelled: alp_dims[n] = dim F^(n+1),
-    coboundary_ranks[n] = rank del_(n+2), and HA equals the shifted
-    homology.  preserved is true in every degree by the theorem; it is
-    certified by subcomplex_report (check --suite subcomplex, tests).
-    """
-    ho = homology(algebra, max_degree)
-    degrees = range(max_degree - 1)
-    return {"alp_dims": {n: ho["dims"][n + 1] for n in degrees},
-            "coboundary_ranks": {n: ho["ranks"][n + 2] for n in degrees},
-            "HA": ho["HA"], "preserved": {n: True for n in degrees}}
 
 
 def classify_extension(algebra, hcochain):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from leibcx import catalog, complexes, exactla, words
+from leibcx import battery, catalog, complexes, exactla, words
 from leibcx.algebras import LeibnizAlgebra, liezation, symmetric_ideal
 from leibcx.complexes import (DGLA, boundary_matrix, boundary_square_report,
                               boundary_word_terms, dgla_suite,
@@ -214,7 +214,7 @@ def test_formal_certificates_fail_on_sabotaged_code(monkeypatch):
     assert rep["main_square_zero"]["passed"]
     assert not rep["variants_agree"]["passed"]
     assert (1, 2) in rep["variants_agree"]["failures"]
-    monkeypatch.setattr(complexes, "embedded_word", lambda w: {w: 1})
+    monkeypatch.setattr(battery, "embedded_word", lambda w: {w: 1})
     rep = intertwining_report(sl2, max_length=2)
     assert not rep["passed"] and (1, 2) in rep["failures"]
 
@@ -874,34 +874,32 @@ def test_symmetric_ideal_is_the_image_of_del_2(monkeypatch):
     # Im(del_2) is the symmetric ideal I and ker2_invariance_reports
     # reads kernel_dim = dim F^2 - dim I off it; the reference is the
     # rank of the assembled del_2.  The reports assemble no boundary and
-    # build no slice or echelon of their own: the only elimination is
-    # symmetric_ideal's RREF, over the coordinates of the algebra
+    # build no slice, echelon or rank of their own: the only elimination
+    # is symmetric_ideal's RREF, over the coordinates of the algebra,
+    # served here from the ideals found first.  The rest is refused where
+    # it is defined, whatever module calls it, and the slice cache is
+    # emptied, so that asking for a slice built earlier builds it again
     cases = [catalog.get(name) for name in catalog.VALID_NAMES]
     cases.append(parse_algebra_file(SL2_CONJ0))
-    kernel_dims = []
+    kernel_dims, ideals = [], {}
     for A in cases:
-        assert rank(boundary_matrix(A, 2)) == \
-            len(symmetric_ideal(A)[0]), A.name
+        ideals[A] = symmetric_ideal(A)
+        assert rank(boundary_matrix(A, 2)) == len(ideals[A][0]), A.name
         kernel_dims.append(len(kernel2_basis(A)))
-    assembled = []
-    assemble = complexes.boundary_matrix
-
-    def assembling(algebra, n):
-        assembled.append(n)
-        return assemble(algebra, n)
 
     def refusing(*args, **kwargs):
         raise AssertionError(
             "ker2_invariance_reports builds a slice, an echelon or a rank")
 
-    monkeypatch.setattr(complexes, "boundary_matrix", assembling)
-    for name in ("rank", "SparseEchelon", "free_lie_basis"):
-        monkeypatch.setattr(complexes, name, refusing)
-    assert not hasattr(complexes, "_echelon")
+    monkeypatch.setattr(battery, "symmetric_ideal", ideals.__getitem__)
+    monkeypatch.setattr(exactla, "_echelon", refusing)
+    monkeypatch.setattr(exactla, "_rank_mod_prime", refusing)
+    monkeypatch.setattr(SparseEchelon, "__init__", refusing)
+    monkeypatch.setattr(complexes.LieBasisSlice, "__init__", refusing)
+    free_lie_basis.cache_clear()
     for A, kernel_dim in zip(cases, kernel_dims):
         rep, = ker2_invariance_reports(A, [(1,)])
         assert rep["kernel_dim"] == kernel_dim, A.name
-    assert assembled == []
 
 
 def test_omega0_is_ha1_of_a_lie_algebra():

@@ -21,7 +21,7 @@ from leibcx.complexes import (DGLA, boundary_matrix, boundary_square_report,
 from leibcx.duality import (DualBracketSum, contract, dual_bracket_word,
                             rotation_sum_report, structure_tensors)
 from leibcx.errors import InputError
-from leibcx.exactla import nullspace, transpose
+from leibcx.exactla import nullspace, rank, transpose
 from leibcx.words import projector_report
 from support import dual_differential, lower
 
@@ -174,6 +174,20 @@ def test_cohomology_matches_homology():
         ho = homology(A, max_degree=4)
         assert co["HA"] == ho["HA"], name
         assert all(co["preserved"].values()), name
+
+
+def test_cohomology_is_the_anti_cyclic_complex_relabelled():
+    # alp_dims[n] counts the degree-n anti-cyclic basis cochains, and
+    # coboundary_ranks[n] is the rank of the coboundary on them, here
+    # ranked whole from its matrix rather than by homology's blocks
+    for name in catalog.VALID_NAMES:
+        A = catalog.get(name)
+        co = cohomology(A, max_degree=4)
+        for n in range(3):
+            assert co["alp_dims"][n] == len(anti_cyclic_basis(A.dim, n)), \
+                (name, n)
+            assert co["coboundary_ranks"][n] == rank(
+                coboundary_matrix_on_anti_cyclic(A, n)), (name, n)
 
 
 def test_cohomology_rejects_bad_input():

@@ -22,20 +22,26 @@ loaded = sorted(m for m in sys.modules if m.split(".")[0] == "leibcx")
 print(json.dumps([code, loaded]), file=sys.stderr)
 """
 
+_HOMOLOGY = {
+    "leibcx", "leibcx.algebras", "leibcx.catalog", "leibcx.cli",
+    "leibcx.complexes", "leibcx.errors", "leibcx.exactla", "leibcx.report",
+    "leibcx.words"}
+
 _LOADS = {
     ("validate", "catalog:abelian1"): {
         "leibcx", "leibcx.algebras", "leibcx.catalog", "leibcx.cli",
         "leibcx.errors", "leibcx.report", "leibcx.words"},
-    ("homology", "catalog:sl2", "--max-degree", "3"): {
-        "leibcx", "leibcx.algebras", "leibcx.catalog", "leibcx.cli",
-        "leibcx.complexes", "leibcx.errors", "leibcx.exactla",
-        "leibcx.report", "leibcx.words"},
+    ("homology", "catalog:sl2", "--max-degree", "3"): _HOMOLOGY,
+    # the homology table relabelled: cochains is not loaded
+    ("cohomology", "catalog:sl2", "--max-degree", "3"): _HOMOLOGY,
+    # DGLA and dgla_suite, read through complexes, load battery
+    ("dr", "catalog:L2", "--max-degree", "3"): _HOMOLOGY | {"leibcx.battery"},
 }
 
 
 def test_each_command_loads_only_the_modules_it_runs():
     env = dict(os.environ, PYTHONPATH=SRC)
-    # both interpreters start at once, so the test costs about one start
+    # the interpreters start at once, so the test costs about one start
     procs = {argv: subprocess.Popen(
         [sys.executable, "-c", _PROBE, *argv, "--format", "json"], env=env,
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
@@ -45,6 +51,20 @@ def test_each_command_loads_only_the_modules_it_runs():
         code, loaded = json.loads(err.strip().splitlines()[-1])
         assert code == 0
         assert set(loaded) == _LOADS[argv], argv
+
+
+def test_moved_names_are_the_objects_of_their_new_homes():
+    # complexes reads these from battery on first access, and cochains
+    # imports cohomology from complexes: one object under both names
+    from leibcx import battery, cochains, complexes
+    for name in ("DGLA", "dgla_suite", "loday_matrix", *complexes._BATTERY):
+        obj = getattr(complexes, name)
+        assert obj is vars(battery)[name], name
+        assert obj.__module__ == "leibcx.battery", name
+    assert cochains.cohomology is vars(complexes)["cohomology"]
+    assert cochains.cohomology.__module__ == "leibcx.complexes"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        complexes.no_such_name
 
 
 def test_package_names_are_those_of_their_home_modules():
