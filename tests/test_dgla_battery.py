@@ -21,6 +21,7 @@ import pytest
 from leibcx import catalog
 from leibcx.complexes import DGLA, DRElement, dgla_suite
 from leibcx.report import jsonable
+from leibcx.words import _add_term, _combine
 from support import ordered_dgla_sweeps
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -110,10 +111,40 @@ class SkewGl(DGLA):
         return out + skew * DRElement(self.project({3: 1})) if skew else out
 
 
+class ShiftedAction(DGLA):
+    """The first degree-0 basis vector acts on letter 1 by its bracket
+    plus letter 2.
+
+    The shift is applied letter by letter on every word, in both bracket
+    orders, so the action stays a derivation of the words and
+    antisymmetry holds.  Jacobi fails only on triples of two degree-0
+    elements and a word, [ad_x, ad_y] - ad_[x,y] being a derivation that
+    is nonzero on letters.  On sl2 the first basis vector is h; on L2
+    and N3 g/I is spanned by one vector, so only sl2 runs it.
+    """
+
+    def _shift(self, a, b):
+        # a's coefficient of the first basis vector times b's words, each
+        # letter 1 in turn replaced by 2
+        t = a.gl.get(self.kept[0] + 1, 0)
+        out = {}
+        for w, c in b.terms.items() if t else ():
+            for i, letter in enumerate(w):
+                if letter == 1:
+                    _add_term(out, w[:i] + (2,) + w[i + 1:], t * c)
+        return out
+
+    def bracket(self, a, b):
+        out = super().bracket(a, b)
+        shift = _combine(self._shift(a, b), self._shift(b, a), -1)
+        return DRElement(out.gl, _combine(out.terms, shift)) if shift else out
+
+
 SABOTEURS = (OneSidedStray, ReversedStray, SymmetricStray, DroppedTerm,
              Unprojected)
 CASES = [(cls, name, N) for cls in SABOTEURS for name in ("L2", "N3", "sl2")
-         for N in (3, 4)] + [(SkewGl, "sl2", N) for N in (3, 4)]
+         for N in (3, 4)] + [(cls, "sl2", N) for cls in (SkewGl, ShiftedAction)
+                             for N in (3, 4)]
 
 
 # every valid catalog entry at 4, N3 at 5, and every saboteur
