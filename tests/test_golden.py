@@ -122,7 +122,8 @@ DEEP = {
     **_doubles("deep-double", (("homology", "--max-degree", "7"),
                                ("homology", "--max-degree", "6", "--loday"),
                                ("check", "--suite", "subcomplex",
-                                "--max-degree", "5"))),
+                                "--max-degree", "5"),
+                               ("dr", "--max-degree", "5"))),
 }
 
 
