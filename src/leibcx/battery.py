@@ -15,8 +15,7 @@ from .complexes import (_loday_degrees, boundary_word_terms, free_lie_basis,
                         superwitt_dim)
 from .errors import InputError
 from .exactla import rank
-from .words import (_add_term, _combine, _extend, embedded_word,
-                    super_commutator, tensor_words)
+from .words import _add_term, _combine, _extend, embedded_word, tensor_words
 
 
 def boundary_apply(algebra, terms):
@@ -60,27 +59,20 @@ def boundary_square_report(algebra, max_degree=5):
     """
     if type(max_degree) is not int:
         raise InputError("max_degree must be an integer")
-    m = algebra.dim
-    failures = {"main": [], "loday": [], "variants": []}
+    main, loday, variants = [], [], []
     for n in range(2, max_degree + 1):
-        for w in tensor_words(m, n):
+        for w in tensor_words(algebra.dim, n):
             t1 = boundary_word_terms(algebra, w, "main")
-            t2 = boundary_word_terms(algebra, w, "alt")
-            if t1 != t2:
-                failures["variants"].append(w)
-            if n >= 3:
-                if _extend(boundary_apply(algebra, t1), embedded_word):
-                    failures["main"].append(w)
+            if t1 != boundary_word_terms(algebra, w, "alt"):
+                variants.append(w)
+            if n >= 3 and _extend(boundary_apply(algebra, t1), embedded_word):
+                main.append(w)
             if loday_apply(algebra, boundary_word_terms(algebra, w, "loday")):
-                failures["loday"].append(w)
-    return {
-        "main_square_zero": {"passed": not failures["main"],
-                             "failures": failures["main"]},
-        "loday_square_zero": {"passed": not failures["loday"],
-                              "failures": failures["loday"]},
-        "variants_agree": {"passed": not failures["variants"],
-                           "failures": failures["variants"]},
-    }
+                loday.append(w)
+    return {name: {"passed": not failures, "failures": failures}
+            for name, failures in (("main_square_zero", main),
+                                   ("loday_square_zero", loday),
+                                   ("variants_agree", variants))}
 
 
 def intertwining_report(algebra, max_length=5):
@@ -90,10 +82,9 @@ def intertwining_report(algebra, max_length=5):
     the code of the boundaries and the embedding, not the algebra."""
     if type(max_length) is not int:
         raise InputError("max_length must be an integer")
-    m = algebra.dim
     failures = []
     for n in range(1, max_length + 1):
-        for w in tensor_words(m, n):
+        for w in tensor_words(algebra.dim, n):
             lhs = loday_apply(algebra, embedded_word(w))
             rhs = (_extend(boundary_word_terms(algebra, w, "main"),
                            embedded_word) if n >= 2 else {})
@@ -116,20 +107,16 @@ def omega0(algebra):
     def idx(i, j):
         return (i - 1) * m + (j - 1)
 
-    rows = []
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            rows.append({idx(i, j): Fraction(1), idx(j, i): Fraction(-1)})
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            for k in range(1, m + 1):
-                row = {}
-                for l, c in algebra.bracket(i, j).items():
-                    _add_term(row, idx(l, k), c)
-                for l, c in algebra.bracket(j, k).items():
-                    _add_term(row, idx(i, l), -c)
-                if row:
-                    rows.append(row)
+    rows = [{idx(i, j): Fraction(1), idx(j, i): Fraction(-1)}
+            for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    for i, j, k in product(range(1, m + 1), repeat=3):
+        row = {}
+        for l, c in algebra.bracket(i, j).items():
+            _add_term(row, idx(l, k), c)
+        for l, c in algebra.bracket(j, k).items():
+            _add_term(row, idx(i, l), -c)
+        if row:
+            rows.append(row)
     r = rank(rows)
     return {"dim": m * m - r, "rank": r, "relations": len(rows)}
 
@@ -162,14 +149,11 @@ def ker2_invariance_reports(algebra, subalgebras):
     require_leibniz(algebra)
     ideal_rows, _ = symmetric_ideal(algebra)
     kernel_dim = superwitt_dim(algebra.dim, 2) - len(ideal_rows)
-    reports = []
-    for sub in subalgebras:
-        kernel_failures = [(u, v) for u in sub for v in sub
-                           if boundary_word_terms(algebra, (u, v))]
-        reports.append({"passed": not kernel_failures,
-                        "kernel_failures": kernel_failures,
-                        "kernel_dim": kernel_dim})
-    return reports
+    failures = ([(u, v) for u in sub for v in sub
+                 if boundary_word_terms(algebra, (u, v))]
+                for sub in subalgebras)
+    return [{"passed": not f, "kernel_failures": f, "kernel_dim": kernel_dim}
+            for f in failures]
 
 
 class DRElement:
@@ -192,9 +176,6 @@ class DRElement:
         self.gl = gl or {}
         self.terms = terms or {}
 
-    def is_zero(self):
-        return not self.gl and not self.terms
-
     def __eq__(self, other):
         return (isinstance(other, DRElement) and self.gl == other.gl
                 and self.terms == other.terms)
@@ -210,9 +191,7 @@ class DRElement:
                          {w: scalar * c for w, c in self.terms.items()})
 
     def __repr__(self):
-        bits = []
-        if self.gl:
-            bits.append(f"gl{self.gl}")
+        bits = [f"gl{self.gl}"] if self.gl else []
         words = sorted(self.terms, key=lambda w: (len(w), w))
         for n, group in groupby(words, key=len):
             terms = " + ".join(f"{self.terms[w]}*{''.join(map(str, w))}"
@@ -255,10 +234,8 @@ class DGLA:
         self._ad = {}
 
     def component_dims(self):
-        dims = {0: len(self.kept)}
-        for n, sl in self.slices.items():
-            dims[-n] = sl.dim
-        return dims
+        return {0: len(self.kept),
+                **{-n: sl.dim for n, sl in self.slices.items()}}
 
     def word_element(self, word):
         if len(word) not in self.slices:
@@ -267,18 +244,17 @@ class DGLA:
 
     def basis(self):
         """(parity, element) for every component basis vector."""
-        out = [(0, DRElement(gl={j + 1: 1})) for j in self.kept]
-        for n in range(1, self.N + 1):
-            for w in self.slices[n].words:
-                out.append((n, self.word_element(w)))
-        return out
+        return ([(0, DRElement(gl={j + 1: 1})) for j in self.kept]
+                + [(n, self.word_element(w)) for n in range(1, self.N + 1)
+                   for w in self.slices[n].words])
 
-    def act(self, g_vec, terms):
+    def act(self, g_vec, terms, out=None, sign=1):
         """Action of x in g on embedded word terms, letter by letter.
 
         The embedding is linear in each letter slot, so acting on every
         letter of the tensor words is the embedding of the action on
-        bracket words.
+        bracket words.  sign times the action is added into out, a term
+        dict, when one is given, and returned.
         """
         key = tuple(g_vec.items())
         ad = self._ad.get(key)
@@ -286,24 +262,32 @@ class DGLA:
             ad = self._ad[key] = {
                 letter: self.algebra.bracket_vectors(g_vec, {letter: 1})
                 for letter in range(1, self.algebra.dim + 1)}
-        if not any(ad.values()):
-            return {}
-        out = {}
-        for w, c in terms.items():
-            for i, letter in enumerate(w):
-                for k, cb in ad[letter].items():
-                    _add_term(out, w[:i] + (k,) + w[i + 1:], c * cb)
+        out = {} if out is None else out
+        if any(ad.values()):
+            for w, c in terms.items():
+                for i, letter in enumerate(w):
+                    for k, cb in ad[letter].items():
+                        _add_term(out, w[:i] + (k,) + w[i + 1:], sign * c * cb)
         return out
 
     def bracket(self, a, b):
+        """[a, b] in one term dict: the super-commutator of the words,
+        each pair cut off past N as it is formed, plus the actions of
+        the degree-0 parts on the other element's words."""
         gl = (self.project(self.algebra.bracket_vectors(a.gl, b.gl))
               if a.gl and b.gl else {})
-        terms = {w: c for w, c in super_commutator(a.terms, b.terms).items()
-                 if len(w) <= self.N}
+        terms = {}
+        for w1, c1 in a.terms.items():
+            room, odd = self.N - len(w1), len(w1) % 2
+            for w2, c2 in b.terms.items():
+                if len(w2) <= room:
+                    c = c1 * c2
+                    _add_term(terms, w1 + w2, c)
+                    _add_term(terms, w2 + w1, c if odd and len(w2) % 2 else -c)
         if a.gl:
-            terms = _combine(terms, self.act(a.gl, b.terms))
+            self.act(a.gl, b.terms, terms)
         if b.gl:
-            terms = _combine(terms, self.act(b.gl, a.terms), -1)
+            self.act(b.gl, a.terms, terms, -1)
         return DRElement(gl, terms)
 
     def differential(self, a):
@@ -347,6 +331,24 @@ def dgla_suite(dg):
     witnesses come from the full ordered sweep, in index order, which
     runs only when antisymmetry fails or the sorted pass finds one.
 
+    The sorted Jacobi pass takes every triple of words and every triple
+    of degree-0 elements, but a mixed triple (x, u, v) or (x, y, u), x
+    and y of degree 0 and u, v words, only when u is a letter: a
+    derivation of the free Lie superalgebra is fixed by its values on
+    the letters (Reutenauer, Free Lie Algebras, 1993).  The premises are
+    bilinearity, antisymmetry and the word and degree-0 triples in full.
+    J(x, u, v) = 0 says that ad_x is a derivation on (u, v).  The basis
+    words of F^n are brackets [a, u'] with a a letter, and by the word
+    Jacobi identity [[a, u'], v] = [a, [u', v]] - (-1)^{|u'|}[u', [a, v]],
+    so induction on |u| extends the rule from the pairs (letter, v) to
+    all pairs; the sorted triples (x, a, v) hold every such pair up to
+    antisymmetry, since letters come first in index order.  Then
+    [ad_x, ad_y] - ad_[x,y] is a derivation too, and J(x, y, u) is its
+    value at u, so it vanishes on words once it vanishes on letters.
+    The cutoff does not interfere: every bracket in the induction keeps
+    |u| + |v| <= N.  tests/support.ordered_dgla_sweeps, the sweep over
+    every ordered triple, is the reference.
+
     Before any check runs, the battery tabulates over the elements e_i
     of dg.basis(): prod[i, j] = [e_i, e_j] for each pair within the
     cutoff, in the sweeps' pair order, diff[i] = d e_i and diff2[i] =
@@ -380,9 +382,12 @@ def dgla_suite(dg):
         return (p for p in prod if ordered or p[0] <= p[1])
 
     def triples(ordered):
+        # the sorted pass takes a triple that mixes degree 0 and words
+        # only when its first word is a letter
         return ((i, j, k) for i, j in pairs(ordered)
                 for k in range(0 if ordered else j, len(el))
-                if parity[i] + parity[j] + parity[k] <= N)
+                if parity[i] + parity[j] + parity[k] <= N and (
+                    ordered or parity[i] or (parity[j] or parity[k]) <= 1))
 
     def orbit_sweep(fails, tuples):
         if skew["passed"] and not any(fails(*t) for t in tuples(False)):
@@ -391,24 +396,27 @@ def dgla_suite(dg):
             if fails(*t):
                 yield tuple(repr(el[i]) for i in t)
 
+    def differs(lhs, rhs, sign, other):
+        # lhs != rhs + sign * other, added up in one dict (degree-0 keys
+        # are ints, word keys tuples) with no element built for the sum
+        acc = {**lhs.gl, **lhs.terms}
+        for s, e in ((1, rhs), (sign, other)):
+            for key, c in (*e.gl.items(), *e.terms.items()):
+                _add_term(acc, key, -s * c)
+        return bool(acc)
+
     def jacobi_fails(i, j, k):
-        return br(el[i], prod[j, k]) != br(prod[i, j], el[k]) + \
-            ((-1) ** (parity[i] * parity[j])) * br(el[j], prod[i, k])
+        return differs(br(el[i], prod[j, k]), br(prod[i, j], el[k]),
+                       (-1) ** (parity[i] * parity[j]), br(el[j], prod[i, k]))
 
     def derivation_fails(i, j):
-        return d(prod[i, j]) != br(diff[i], el[j]) + \
-            ((-1) ** parity[i]) * br(el[i], diff[j])
-
-    def jacobi():
-        return orbit_sweep(jacobi_fails, triples)
+        return differs(d(prod[i, j]), br(diff[i], el[j]),
+                       (-1) ** parity[i], br(el[i], diff[j]))
 
     def differential_squared():
         for a, dda in zip(el, diff2):
-            if not dda.is_zero():
+            if dda.gl or dda.terms:
                 yield repr(a)
-
-    def derivation():
-        return orbit_sweep(derivation_fails, pairs)
 
     def derived_bracket():
         for i, j in product(range(1, m + 1), repeat=2):
@@ -417,10 +425,9 @@ def dgla_suite(dg):
 
     def lifted_identity_left():
         for i, j, k in product(range(1, m + 1), repeat=3):
-            lhs = br(diff[x[i]], prod[x[j], x[k]])
-            rhs = br(letters(algebra.bracket(i, j)), el[x[k]]) + \
-                br(el[x[j]], letters(algebra.bracket(i, k)))
-            if lhs != rhs:
+            if differs(br(diff[x[i]], prod[x[j], x[k]]),
+                       br(letters(algebra.bracket(i, j)), el[x[k]]), 1,
+                       br(el[x[j]], letters(algebra.bracket(i, k)))):
                 yield i, j, k
 
     def lifted_identity_sym():
@@ -444,8 +451,10 @@ def dgla_suite(dg):
             if dd.gl:
                 yield w
 
-    checks = (jacobi, differential_squared, derivation,
-              derived_bracket, lifted_identity_left, lifted_identity_sym,
-              ideal_acts_trivially, augmentation_kills_boundaries)
+    checks = (differential_squared, derived_bracket, lifted_identity_left,
+              lifted_identity_sym, ideal_acts_trivially,
+              augmentation_kills_boundaries)
     return dict(antisymmetry=skew,
+                jacobi=_outcome(orbit_sweep(jacobi_fails, triples)),
+                derivation=_outcome(orbit_sweep(derivation_fails, pairs)),
                 **{check.__name__: _outcome(check()) for check in checks})

@@ -195,15 +195,10 @@ def _suite_subcomplex(algebra, name, N):
 
 
 def _suite_anticyclic(algebra, name, N):
-    from .cochains import (anti_cyclic_constraint_rows, same_row_space,
-                           symmetry_identity_rows)
-    out = {}
-    for arity in (3, 4):
-        rows_def, _ = anti_cyclic_constraint_rows(algebra.dim, arity)
-        rows_sym, _ = symmetry_identity_rows(algebra.dim, arity)
-        out[f"constraints_match_identities_arity_{arity}"] = \
-            same_row_space(rows_def, rows_sym)
-    return out
+    from .cochains import constraints_match_identities
+    return {f"constraints_match_identities_arity_{arity}":
+            constraints_match_identities(algebra.dim, arity)
+            for arity in (3, 4)}
 
 
 def _suite_dr(algebra, name, N):

@@ -164,12 +164,9 @@ def from_implicit(vector, m, degree):
         raise InputError(
             f"implicit vector has {len(vector)} entries, expected {count}")
     values = {k: Fraction(v) for k, v in enumerate(vector) if v}
-    coeffs = {}
-    for w, coords in bracket_coords_table(m, length).items():
-        total = sum(c * values[k] for k, c in coords.items() if k in values)
-        if total:
-            coeffs[w] = total
-    return Cochain(length, m, coeffs)
+    return Cochain(length, m, {
+        w: sum(c * values[k] for k, c in coords.items() if k in values)
+        for w, coords in bracket_coords_table(m, length).items()})
 
 
 def coboundary_matrix_on_anti_cyclic(algebra, degree):
@@ -259,56 +256,77 @@ def classify_extension(algebra, hcochain):
     return out
 
 
-def anti_cyclic_constraint_rows(m, arity):
+def anti_cyclic_constraint_rows(m, arity, words=None):
     """Defining constraints of the anti-cyclic space as integer rows.
 
-    Coordinates index the length-arity words; one row per word w:
-    arity * A(w) - A(expansion of {w}) = 0, the defect of the unit
-    cochains, one per coordinate.
+    Coordinates index the length-arity words, all m^arity of them or the
+    words given; one row per word w: arity * A(w) - A(expansion of {w})
+    = 0, the defect of the unit cochains, one per coordinate.  The row of
+    w touches only the permutations of w, and renaming the letters maps
+    it to the row of the renamed word, since the expansion is a signed
+    sum over letter positions.
     """
     if type(arity) is not int:
         raise InputError("the arity must be an integer")
-    words = tensor_words(m, arity)
+    words = words or tensor_words(m, arity)
     idx = {w: i for i, w in enumerate(words)}
     units = {w: {i: 1} for w, i in idx.items()}
-    rows = [_anti_cyclic_defect(units, w) for w in words]
-    return [row for row in rows if row], idx
+    return [r for w in words if (r := _anti_cyclic_defect(units, w))], idx
 
 
 # Per arity, each identity is a signed sum of slot permutations of one word
-# w: the term (sign, perm) stands for sign * A(w[perm[0]], w[perm[1]], ...).
+# w: the term (sign, "jkl") stands for sign * A(w[j], w[k], w[l]).
 _SYMMETRY_IDENTITIES = {
-    3: (((1, (0, 1, 2)), (-1, (0, 2, 1))),
-        ((1, (0, 1, 2)), (1, (1, 2, 0)), (1, (2, 0, 1)))),
-    4: (((1, (0, 1, 2, 3)), (-1, (0, 1, 3, 2))),
-        ((1, (0, 1, 2, 3)), (1, (0, 2, 3, 1)), (1, (0, 3, 1, 2))),
-        ((1, (0, 1, 2, 3)), (1, (1, 0, 2, 3)), (1, (2, 3, 0, 1)),
-         (1, (3, 2, 0, 1)))),
+    3: (((1, "012"), (-1, "021")), ((1, "012"), (1, "120"), (1, "201"))),
+    4: (((1, "0123"), (-1, "0132")),
+        ((1, "0123"), (1, "0231"), (1, "0312")),
+        ((1, "0123"), (1, "1023"), (1, "2301"), (1, "3201"))),
 }
 
 
-def symmetry_identity_rows(m, arity):
+def symmetry_identity_rows(m, arity, words=None):
     """The equivalent finite identity set, arity 3 and 4 only.
 
     Arity 3: A(i,j,k) = A(i,k,j) and the cyclic sum vanishes.
     Arity 4: A(i,j,k,l) = A(i,j,l,k), the cyclic sum over the last three
     slots vanishes, and A(ijkl) + A(jikl) + A(klij) + A(lkij) = 0.
-    One row per word and identity, in that order, as integer rows.
+    One row per word (all m^arity words, or the words given) and
+    identity, in that order, as integer rows.  A row permutes the slots
+    of one word, so it too stays among the permutations of the word and
+    commutes with renaming the letters.
     """
     identities = _SYMMETRY_IDENTITIES.get(arity)
     if identities is None:
         raise InputError("identity rows are tabulated for arity 3 and 4 only")
-    words = tensor_words(m, arity)
+    words = words or tensor_words(m, arity)
     idx = {w: i for i, w in enumerate(words)}
     rows = []
     for w in words:
         for identity in identities:
             row = {}
             for sign, perm in identity:
-                _add_term(row, idx[tuple(w[p] for p in perm)], sign)
+                _add_term(row, idx[tuple(w[int(p)] for p in perm)], sign)
             if row:
                 rows.append(row)
     return rows, idx
+
+
+def constraints_match_identities(m, arity):
+    """The anti-cyclic constraints and the identity set span one space.
+
+    Both row sets split over the content classes (the permutations of
+    one word) and commute with renaming the letters, which maps a class
+    onto every class with the same letter multiplicities.  So one class
+    per multiplicity pattern with at most m letters decides: the words
+    over 1..min(m, arity) whose letter counts do not increase from one
+    letter to the next (47 of 256 words at arity 4 for m = 4, 23 of 81
+    for m = 3).  The comparison over all m^arity words is the reference.
+    """
+    k = min(m, arity)
+    words = [w for w in tensor_words(k, arity)
+             if all(w.count(a) >= w.count(a + 1) for a in range(1, k))]
+    return same_row_space(anti_cyclic_constraint_rows(m, arity, words)[0],
+                          symmetry_identity_rows(m, arity, words)[0])
 
 
 def same_row_space(rows_a, rows_b):

@@ -8,13 +8,15 @@ import pytest
 
 from leibcx import catalog
 from leibcx.algebras import LeibnizAlgebra, double
+from leibcx import cochains
 from leibcx.cochains import (Cochain, anti_cyclic_basis,
                              anti_cyclic_constraint_rows, bracket_coords_table,
                              classify_extension,
                              coboundary_matrix_on_anti_cyclic, cohomology,
-                             from_implicit, is_anti_cyclic, lp_coboundary,
-                             same_row_space, subcomplex_report,
-                             symmetry_identity_rows, to_implicit)
+                             constraints_match_identities, from_implicit,
+                             is_anti_cyclic, lp_coboundary, same_row_space,
+                             subcomplex_report, symmetry_identity_rows,
+                             to_implicit)
 from leibcx.complexes import (DGLA, boundary_matrix, boundary_square_report,
                               free_lie_basis, homology, intertwining_report,
                               loday_matrix)
@@ -285,6 +287,46 @@ def test_constraint_spaces_match_identities():
             rows_def, _ = anti_cyclic_constraint_rows(m, arity)
             rows_sym, _ = symmetry_identity_rows(m, arity)
             assert same_row_space(rows_def, rows_sym), (m, arity)
+
+
+def _full_and_reduced(ms, arity):
+    # (reference over all m^arity words, one class per pattern) per m
+    return [(same_row_space(anti_cyclic_constraint_rows(m, arity)[0],
+                            symmetry_identity_rows(m, arity)[0]),
+             constraints_match_identities(m, arity)) for m in ms]
+
+
+def test_one_class_per_letter_pattern_decides_the_constraint_spaces(
+        monkeypatch):
+    # the reduced comparison agrees with the full one on every alphabet
+    # size, and both can fail: under each single-term sign flip of the
+    # identity table (every flip breaks the two-letter classes), and
+    # under an expansion that is wrong only on words of distinct letters,
+    # which only the all-distinct class holds (m >= arity)
+    for arity in (3, 4):
+        assert _full_and_reduced(range(1, 6), arity) == [(True, True)] * 5
+    table = cochains._SYMMETRY_IDENTITIES
+    flips = []
+    for arity, identities in table.items():
+        for i, identity in enumerate(identities):
+            for t in range(len(identity)):
+                flipped = list(identities)
+                flipped[i] = tuple((-sign if u == t else sign, perm)
+                                   for u, (sign, perm) in enumerate(identity))
+                monkeypatch.setattr(cochains, "_SYMMETRY_IDENTITIES",
+                                    {**table, arity: tuple(flipped)})
+                verdicts = _full_and_reduced(range(1, 5), arity)
+                assert all(full == reduced for full, reduced in verdicts)
+                flips.append(verdicts)
+    assert len(flips) == 14
+    assert any((False, False) in verdicts for verdicts in flips)
+    monkeypatch.setattr(cochains, "_SYMMETRY_IDENTITIES", table)
+    real = cochains.embedded_word
+    monkeypatch.setattr(cochains, "embedded_word", lambda w: (
+        {w: 1} if len(set(w)) == len(w) else real(w)))
+    for arity in (3, 4):
+        assert _full_and_reduced(range(1, 6), arity) == \
+            [(m < arity, m < arity) for m in range(1, 6)]
 
 
 def test_same_row_space_negative():
