@@ -19,7 +19,7 @@ The embedding eps sends {x1,...,xn} to the iterated super-commutator
                    = x1 (x) eps{x2..xn}  -  (-1)^(n-1)  eps{x2..xn} (x) x1
 
 (all generators carry odd parity), and embedded_word computes it with
-super_commutator, the one graded-commutator loop of the package.  It is
+super_commutator (DGLA.bracket repeats the loop, truncating inline).  It is
 injective on the span of the bracket words of a fixed length, which is
 what makes comparison through the embedding and the echelon-based basis
 extraction in complexes.py work.
