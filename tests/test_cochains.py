@@ -6,9 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from leibcx import catalog
+from leibcx import catalog, cochains
 from leibcx.algebras import LeibnizAlgebra, double
-from leibcx import cochains
 from leibcx.cochains import (Cochain, anti_cyclic_basis,
                              anti_cyclic_constraint_rows, bracket_coords_table,
                              classify_extension,
