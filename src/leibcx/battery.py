@@ -15,7 +15,7 @@ from .complexes import (_loday_degrees, boundary_word_terms, free_lie_basis,
                         superwitt_dim)
 from .errors import InputError
 from .exactla import rank
-from .words import _add_term, _combine, _extend, embedded_word, tensor_words
+from .words import _add_term, _extend, embedded_word, tensor_words
 
 
 def boundary_apply(algebra, terms):
@@ -179,10 +179,6 @@ class DRElement:
     def __eq__(self, other):
         return (isinstance(other, DRElement) and self.gl == other.gl
                 and self.terms == other.terms)
-
-    def __add__(self, other):
-        return DRElement(_combine(self.gl, other.gl),
-                         _combine(self.terms, other.terms))
 
     def __rmul__(self, scalar):
         if not scalar:

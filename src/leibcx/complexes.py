@@ -26,6 +26,7 @@ from here on first access (PEP 562), so homology compiles none of them.
 from collections import Counter
 from functools import lru_cache
 from itertools import product
+from math import factorial, gcd, prod
 
 from .algebras import require_leibniz
 from .errors import InputError
@@ -43,7 +44,14 @@ class LieBasisSlice:
     = a (x) eps(w) - (-1)^(n-1) eps(w) (x) a is linear in eps(w), so when
     w lies in the span of lex-smaller words, (a,) + w lies in the span of
     the lex-smaller words (a,) + v, and the full sweep would reject it
-    too.  Echelon row k is the embedding of the k-th kept word, so
+    too.  A candidate whose letter-content class (its multiset of
+    letters) already holds its dim F_alpha words is skipped before it is
+    embedded: the embedding keeps the letter content, so the class is
+    full and the candidate dependent.  dim F_alpha is the multigraded
+    super-Witt count (_content_dim; Petrogradsky 2000).  No class holds
+    more than its count, so a slice with fewer than superwitt_dim words
+    has a class short of its count, and is refused (RuntimeError).
+    Echelon row k is the embedding of the k-th kept word, so
     coords() reads the echelon's coordinates as they are: it expresses
     any element of the span over the kept words, exactly.
     Row k is zero at the pivots of the rows before it and nonzero at its
@@ -62,9 +70,17 @@ class LieBasisSlice:
         self.echelon = SparseEchelon(pick=max)
         self.words = []
         tails = free_lie_basis(m, degree - 1).words if degree > 1 else [()]
+        kept = Counter()        # by content class, a sorted word
         for w in ((a,) + b for a in range(1, m + 1) for b in tails):
-            if self.echelon.insert(embedded_word(w)):
+            alpha = tuple(sorted(w))
+            if kept[alpha] < _content_dim(alpha) and \
+                    self.echelon.insert(embedded_word(w)):
+                kept[alpha] += 1
                 self.words.append(w)
+        if self.dim != superwitt_dim(m, degree):
+            raise RuntimeError(f"a content class of F^{degree} ends short: "
+                               f"{self.dim} of {superwitt_dim(m, degree)} "
+                               f"words")
 
     @property
     def dim(self):
@@ -99,6 +115,19 @@ def free_lie_basis(m, degree):
     if not (type(m) is type(degree) is int and m >= 1 and degree >= 1):
         raise InputError("free_lie_basis needs positive integer arguments")
     return LieBasisSlice(m, degree)
+
+
+@lru_cache(maxsize=None)
+def _content_dim(alpha):
+    # dim F_alpha for the letter content of the sorted word alpha, |alpha|
+    # = n: the multigraded super-Witt identity sum_(d | gcd alpha)
+    # (-1)^(n/d) (n/d) dim F_(alpha/d) = (-1)^n n! / prod alpha_i!, solved
+    # for d = 1; alpha[::d] is alpha/d when d divides every multiplicity
+    n, counts = len(alpha), list(map(alpha.count, set(alpha)))
+    g = gcd(*counts)
+    rest = sum((-1) ** (n + n // d) * (n // d) * _content_dim(alpha[::d])
+               for d in range(2, g + 1) if g % d == 0)
+    return (factorial(n) // prod(map(factorial, counts)) - rest) // n
 
 
 def superwitt_dim(m, n):

@@ -1,19 +1,18 @@
 """Exact sparse linear algebra over the rationals.
 
 Vectors are dicts {index: int or Fraction} holding only nonzero entries.
-There is one exact engine, SparseEchelon, an incremental fraction-free
-row echelon: rows are kept as integer dicts and reduction multiplies
-through by pivot values instead of dividing, so no Fraction arithmetic
-happens in the hot loop.  Reduction applies the stored rows in insertion
-order, but visits only the rows whose pivot the residue reaches (a heap
-of row positions, fed as updates create entries at pivots), as in sparse
-partial pivoting.
+The one exact engine with coordinate records is SparseEchelon, an
+incremental fraction-free row echelon: rows are kept as integer dicts
+and reduction multiplies through by pivot values instead of dividing, so
+no Fraction arithmetic happens in the hot loop.  Reduction applies the
+stored rows in insertion order, but visits only the rows whose pivot the
+residue reaches (a heap of row positions, fed as updates create entries
+at pivots), as in sparse partial pivoting.
 The pivot of a new row is the lowest index of its residue unless the
 caller asks for another rule: SparseEchelon(pick=max) takes the highest.
-Only the stored rows depend on the rule.  The rank-only eliminations
-(rank() and the modular pass) and the bracket-word slices take the
-highest index.  On
-the lex-ordered columns of the homology blocks it fills in far less:
+Only the stored rows depend on the rule.  Both passes of rank() and the
+bracket-word slices take the highest index.  On the lex-ordered columns
+of the homology blocks it fills in far less:
 one top-degree block of 1,960 columns (rank 1,001) ends with 131,691
 stored entries under the lowest index and 26,610 under the highest, and
 its exact rank takes 48 s against 0.38 s.  rref, nullspace and the
@@ -29,30 +28,38 @@ rows where rref and nullspace say so.  rref and nullspace are read-outs
 of a SparseEchelon with no elimination of their own: the RREF row at a
 pivot p is e_p minus the residue of e_p.  They return sparse rows too.
 
-Beside the engine sits a rank modulo a word-sized prime, a lower bound
-on the rank over Q.  rank() uses it only for callers that hold a proven
-upper bound (homology, by del o del = 0): when the two meet, the rank is
-exact without elimination over Z; otherwise SparseEchelon decides.  The
-modular pass reduces lazily: a residue's entries stay unreduced ints
-while the stored rows (monic, reduced mod p) are applied, only the
-coefficient at each pivot is taken mod p (a row whose coefficient is 0
-mod p is skipped), and the residue is reduced once at the end, which
-drops its entries that are multiples of p.  Each update adds a product
-below p^2, so the ints stay small, and no % runs per entry.
-rank() takes any iterable of columns and pulls them one at a time, so a
-caller can build its columns on demand: the modular pass stops at the
-column that meets the bound, and the exact fallback sees every column.
+Beside the engine sits rank(), which keeps no coordinate records and no
+rows past the call.  Its one elimination loop (_rank_pass) runs in
+integers, fraction-free like the engine, or modulo a word-sized prime,
+which gives a lower bound on the rank over Q.  rank() eliminates in
+integers and, when the caller holds a proven upper bound (homology, by
+del o del = 0), stops at the column where the rank meets it.  Only when
+the entries swell, a stored row holding one past 32 bits, does it go
+modular: the modular pass ranks the columns pulled so far and then the
+rest, and stops where it meets the bound, which makes its lower bound
+the rank.  Should it miss the bound (nonzero homology in a swollen
+block, or an unlucky prime), exact elimination ranks every column with
+no switch.  The modular pass reduces lazily: a residue's entries stay
+unreduced ints while the stored rows (monic, reduced mod p) are
+applied, only the coefficient at each pivot is taken mod p (a row whose
+coefficient is 0 mod p is skipped), and the residue is reduced once at
+the end, which drops its entries that are multiples of p.  Each update
+adds a product below p^2, so the ints stay small, and no % runs per
+entry.  rank() takes any iterable of columns and pulls them one at a
+time, so a caller can build its columns on demand: no column past the
+one that meets the bound is pulled.
 """
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd, lcm
 
 
 def _as_int_vector(vec):
     # clear denominators; returns ({i: int}, lcm) with lcm > 0 and no
     # zero entries
-    if all(type(c) is int for c in vec.values()):
+    if set(map(type, vec.values())) <= {int}:
         return {i: c for i, c in vec.items() if c}, 1
     den = lcm(*(c.denominator for c in vec.values()))
     return {i: c.numerator * (den // c.denominator)
@@ -63,11 +70,8 @@ def _gcd_normalize(row):
     # divide an integer row by the gcd of its entries; make first-seen
     # (smallest index) entry positive; returns (row, divisor) with the
     # sign folded into the divisor; row is nonzero
-    g = 0
-    for c in row.values():
-        g = gcd(g, c)
-    lead = row[min(row)]
-    if lead < 0:
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
         g = -g
     if g != 1:
         row = {i: c // g for i, c in row.items()}
@@ -216,19 +220,22 @@ def _echelon(rows, pick=min):
 
 
 _PRIME = 1073741789   # the largest prime below 2**30
+_SWELL = 32           # bits: a stored exact row past this swells
 
 
-def _rank_mod_prime(vectors, stop=None):
-    # rank of the vectors reduced modulo _PRIME: a lower bound on their
-    # rank over Q, since clearing a vector's denominators only scales it
-    # and a minor that is nonzero mod p is nonzero.  Rows are monic and
-    # visited as in SparseEchelon._reduce: in insertion order, only the
-    # rows whose pivot the residue holds, each pivoting at the highest
-    # index of its residue, as rank()'s exact fallback does.  A residue
-    # stays unreduced until its rows are applied; only the coefficient at
-    # a pivot is reduced first.  Once the rank reaches stop no further
-    # vector is pulled.
-    p = _PRIME
+def _rank_pass(vectors, stop=None, p=0):
+    # rank of the vectors, pulled one at a time until it reaches stop.
+    # Rows are visited as in SparseEchelon._reduce: in insertion order,
+    # only the rows whose pivot the residue holds, each pivoting at the
+    # highest index of its residue.  p = 0: over Z, fraction-free, rows
+    # divided by their content, and the residue scaled before a row is
+    # applied so that the row's pivot divides its coefficient; with a
+    # stop, None comes back once a stored row has an entry past _SWELL
+    # bits.  p prime: modulo p, monic rows, the residue unreduced while
+    # its rows are applied (only the coefficient at a pivot is reduced
+    # first) and reduced once at the end; a lower bound on the rank over
+    # Q, since clearing a vector's denominators only scales it and a
+    # minor that is nonzero mod p is nonzero.
     rows, rowpiv, pivots = [], [], {}
     if stop == 0:
         return 0
@@ -238,10 +245,20 @@ def _rank_mod_prime(vectors, stop=None):
         heapify(heap)
         while heap:
             k = heappop(heap)
-            q = res[rowpiv[k]] % p
+            row = rows[k]
+            q = res[rowpiv[k]]
+            if p:
+                q %= p
+            elif q % (d := row[rowpiv[k]]):
+                g = gcd(q, d)
+                for i in res:
+                    res[i] *= d // g
+                q //= g
+            else:
+                q //= d
             if not q:
-                continue      # 0 mod p: cancelled, or pushed twice
-            for i, rv in rows[k].items():
+                continue      # cancelled, or 0 mod p
+            for i, rv in row.items():
                 v = res.get(i)
                 if v is None:
                     res[i] = -q * rv
@@ -250,45 +267,58 @@ def _rank_mod_prime(vectors, stop=None):
                         heappush(heap, j)
                 else:
                     res[i] = v - q * rv
-        res = {i: c % p for i, c in res.items() if c % p}
-        if res:
-            piv = max(res)
+        res = {i: c % p for i, c in res.items() if c % p} if p else \
+            {i: c for i, c in res.items() if c}
+        if not res:
+            continue
+        piv = max(res)
+        if p:
             inv = pow(res[piv], -1, p)
-            pivots[piv] = len(rows)
-            rowpiv.append(piv)
-            rows.append({i: c * inv % p for i, c in res.items()})
-            if len(rows) == stop:
-                break
+            res = {i: c * inv % p for i, c in res.items()}
+        else:
+            g = gcd(*res.values())
+            if g != 1:
+                res = {i: c // g for i, c in res.items()}
+            if stop is not None and max(map(abs, res.values())) >> _SWELL:
+                return None
+        pivots[piv] = len(rows)
+        rowpiv.append(piv)
+        rows.append(res)
+        if len(rows) == stop:
+            break
     return len(rows)
 
 
 def rank(vectors, upper=None):
     """Rank of an iterable of sparse vectors (dicts), pulled once each.
 
-    upper, if given, must be a proven upper bound on the rank, such as
-    the one del o del = 0 gives a boundary map.  The rank modulo a prime
-    is a lower bound, so when it reaches upper it is the rank, and no
-    vector past the one that reaches it is pulled (none when upper is
-    0).  Otherwise (nonzero homology, or an unlucky prime) the exact
-    elimination runs on every vector: those the modular pass pulled and
-    the rest.  Both eliminations pivot at the highest index of each
-    residue, which fills in far less than the lowest on the lex-ordered
-    columns of the homology blocks.
+    One exact, fraction-free, rank-only pass: integer rows pivoting at
+    the highest index of each residue, which fills in far less than the
+    lowest on the lex-ordered columns of the homology blocks.  upper, if
+    given, must be a proven upper bound on the rank, such as the one
+    del o del = 0 gives a boundary map: the pass stops at the vector
+    where the rank meets it, and pulls none past it (none at all when
+    upper is 0).  A block next to nonzero homology is eliminated once,
+    exactly, and pulls every vector.
 
-    The modular pass stays although a block that falls back discards it:
-    exact elimination alone, measured cold on a shared 2-CPU host, made
-    homology of a dense change of basis of sl2 about 5x slower at degree
-    8 and 90x slower at degree 9, where the bound certifies almost every
-    block, and gained little or lost where most blocks carry homology (the
-    README has the figures).
+    With a bound, a stored row with an entry past _SWELL bits sends the
+    block to the rank modulo a prime, which takes the vectors pulled so
+    far first and then the rest; it is a lower bound, so when it meets
+    upper it is the rank.  Otherwise exact elimination ranks every
+    vector without the switch.  The switch reads only the size of the
+    entries: exact elimination alone, measured cold on a shared 2-CPU
+    host, made homology of a dense change of basis of sl2 about 90x
+    slower at degree 9, where the modular pass certifies almost every
+    block (the README has the figures).
     """
-    vectors = iter(vectors)
-    pulled = []     # each vector as the modular pass pulls it
-    if upper is not None and _rank_mod_prime(
-            (pulled.append(v) or v for v in vectors), upper) == upper:
-        return upper
-    pulled.extend(vectors)
-    return _echelon(pulled, max).rank
+    pulled = []     # every vector pulled, for the passes after a swell
+    vectors = (pulled.append(v) or v for v in vectors)
+    r = _rank_pass(vectors, upper)
+    if r is None:
+        r = _rank_pass(chain(pulled, vectors), upper, _PRIME)
+        if r != upper:
+            r = _rank_pass(chain(pulled, vectors))
+    return r
 
 
 def rref(rows):

@@ -18,11 +18,13 @@ The embedding eps sends {x1,...,xn} to the iterated super-commutator
     eps{x1,...,xn} = [x1, eps{x2..xn}]
                    = x1 (x) eps{x2..xn}  -  (-1)^(n-1)  eps{x2..xn} (x) x1
 
-(all generators carry odd parity), and embedded_word computes it with
-super_commutator (DGLA.bracket repeats the loop, truncating inline).  It is
-injective on the span of the bracket words of a fixed length, which is
-what makes comparison through the embedding and the echelon-based basis
-extraction in complexes.py work.
+(all generators carry odd parity).  embedded_word builds the first half
+in one comprehension and adds the second with the one sign (-1)^n; the
+termwise graded commutator of two dicts is super_commutator, whose loop
+DGLA.bracket repeats, truncating inline.  The embedding is injective on
+the span of the bracket words of a fixed length, which is what makes
+comparison through the embedding and the echelon-based basis extraction
+in complexes.py work.
 """
 
 import itertools
@@ -60,16 +62,26 @@ def tensor_words(m, n):
 
 
 _EMBED_CACHE = {(): {}}
+_TENSOR_WORDS = {}    # tensor word -> the tuple every embedding keys it by
 
 
 def embedded_word(word):
     """Integer-coefficient expansion of the bracket word into tensor words:
-    the super-commutator of its first letter with the rest's expansion."""
+    the super-commutator of its first letter with the rest's expansion,
+    a (x) eps(w) + (-1)^n eps(w) (x) a for the word (a,) + w of length n.
+    The first half has distinct words; the second adds into it.  Each
+    tensor word is keyed by one shared tuple (_TENSOR_WORDS), so the cache
+    holds a word once however many embeddings reach it."""
     word = tuple(word)
     hit = _EMBED_CACHE.get(word)
     if hit is None:
-        hit = ({word: 1} if len(word) == 1 else
-               super_commutator({word[:1]: 1}, embedded_word(word[1:])))
+        a, rest = word[:1], embedded_word(word[1:])
+        one = _TENSOR_WORDS.setdefault
+        hit = ({one(t := a + w, t): c for w, c in rest.items()} if word[1:]
+               else {word: 1})
+        sign = (-1) ** len(word)
+        for w, c in rest.items():
+            _add_term(hit, one(t := w + a, t), sign * c)
         _EMBED_CACHE[word] = hit
     return hit
 

@@ -17,11 +17,11 @@ from leibcx.complexes import (DGLA, boundary_matrix, boundary_square_report,
                               loday_apply, loday_matrix, omega0,
                               superwitt_dim)
 from leibcx.errors import InputError
-from leibcx.exactla import SparseEchelon, rank
+from leibcx.exactla import _PRIME, SparseEchelon, _echelon, rank
 from leibcx.fileio import parse_algebra_file
 from leibcx.words import (_add_term, _combine, _extend, embedded_word,
                           super_commutator, tensor_words)
-from support import (kernel2_basis, slice_element,
+from support import (dr_sum, kernel2_basis, slice_element,
                      superwitt_multidegree_dim)
 
 FROZEN_DIMS = {
@@ -114,9 +114,31 @@ def _full_sweep_words(m, n):
 
 @pytest.mark.parametrize("m, n", [(2, 8), (3, 6), (4, 5), (6, 3)])
 def test_prefix_extension_keeps_full_sweep_basis(m, n):
+    # every prefix candidate is inserted but those whose content class
+    # already holds dim F_alpha words when their turn comes
     sl = free_lie_basis(m, n)
     assert sl.words == _full_sweep_words(m, n)
-    assert sl.echelon.nsources == m * free_lie_basis(m, n - 1).dim
+    kept, words, skipped = Counter(), set(sl.words), 0
+    for w in ((a,) + b for a in range(1, m + 1)
+              for b in free_lie_basis(m, n - 1).words):
+        alpha = tuple(w.count(a) for a in range(1, m + 1))
+        if kept[alpha] == superwitt_multidegree_dim(alpha):
+            skipped += 1
+        else:
+            kept[alpha] += w in words
+    assert skipped >= 1
+    assert sl.echelon.nsources + skipped == m * free_lie_basis(m, n - 1).dim
+
+
+def test_a_class_short_of_its_count_is_refused(monkeypatch):
+    # a content count one below the formula caps its class one word
+    # short, and the slice's total is checked against superwitt_dim
+    free_lie_basis(3, 3)
+    real = complexes._content_dim
+    monkeypatch.setattr(complexes, "_content_dim",
+                        lambda alpha: real(alpha) - (len(alpha) == 4))
+    with pytest.raises(RuntimeError, match=r"F\^4 ends short: \d+ of 18 "):
+        complexes.LieBasisSlice(3, 4)
 
 
 def test_boundary_low_degrees_frozen():
@@ -308,41 +330,47 @@ def test_certified_ranks_match_exact_elimination():
                 n: rank(loday_matrix(A, n)) for n in degrees}, A.name
 
 
-def _count_exact_rows(monkeypatch):
-    # the number of rows of each exact elimination, as they run
-    sizes = []
-    echelon = exactla._echelon
+def _rank_passes(monkeypatch):
+    # each pass of rank() as it runs: (p, columns pulled, result), p = 0
+    # for the exact pass and the prime for the modular one
+    passes = []
+    inner = exactla._rank_pass
 
-    def counting(rows, *pick):
-        sizes.append(len(rows))
-        return echelon(rows, *pick)
+    def counting(vectors, stop=None, p=0):
+        pulled = []
+        r = inner((pulled.append(v) or v for v in vectors), stop, p)
+        passes.append((p, len(pulled), r))
+        return r
 
-    monkeypatch.setattr(exactla, "_echelon", counting)
-    return sizes
+    monkeypatch.setattr(exactla, "_rank_pass", counting)
+    return passes
 
 
 def test_certified_ranks_skip_exact_elimination(monkeypatch):
     # the sl2 conjugate has only the zero grading, so every degree is
-    # one block.  The grading's nullspace eliminates its 18 constraint
-    # rows, one per nonzero structure constant; then only del_2 and
-    # del_3 (6 and 8 columns) sit next to nonzero homology, and every
-    # other rank is certified mod p
+    # one block.  Each block is ranked exactly once: del_2 and del_3 (6
+    # and 8 columns) sit next to nonzero homology and pull every column;
+    # del_4 and del_5 stop at the column that meets their bound; the
+    # dense del_6 and del_7 swell past 32 bits within 29 and 14 columns
+    # and are certified mod p
     A = parse_algebra_file(SL2_CONJ0)
-    sizes = _count_exact_rows(monkeypatch)
+    passes = _rank_passes(monkeypatch)
     rep = homology(A, max_degree=7)
     assert rep["ranks"] == {2: 0, 3: 5, 4: 3, 5: 15, 6: 33, 7: 91}
-    assert sum(len(entry) for _, entry in A.items()) == 18
-    assert sizes == [18, 6, 8]
+    assert passes == [(0, 6, 0), (0, 8, 5), (0, 8, 3), (0, 28, 15),
+                      (0, 29, None), (_PRIME, 87, 33),
+                      (0, 14, None), (_PRIME, 237, 91)]
 
 
 def test_blocked_ranks_bound_exact_elimination(monkeypatch):
-    # doubleL2 has homology in every degree, so unblocked every rank
-    # fell back to exact elimination, 6,566 rows in all; by weight only
-    # the blocks that carry homology do
-    sizes = _count_exact_rows(monkeypatch)
+    # doubleL2 has homology in every degree, so unblocked no rank meets
+    # its bound and the exact passes pull all 6,566 columns; by weight
+    # the blocks without homology stop at their bound
+    passes = _rank_passes(monkeypatch)
     rep = homology(catalog.get("doubleL2"), max_degree=6, loday=True)
     assert rep["HA"] == {0: 2, 1: 3, 2: 2, 3: 3, 4: 6}
-    assert sum(sizes) <= 500
+    assert {p for p, _, _ in passes} == {0}
+    assert sum(n for _, n, _ in passes) == 2062
 
 
 GRADING_RANKS = {"abelian1": 1, "abelian2": 2, "abelian3": 3, "abelian4": 4,
@@ -438,11 +466,13 @@ def test_homogeneity_check_fails_on_a_wrong_grading(monkeypatch):
 
 
 @pytest.mark.parametrize("m, top, count", [(2, 9, 54), (3, 7, 119),
-                                           (4, 6, 209)])
+                                           (4, 6, 209), (1, 8, 8),
+                                           (3, 8, 164), (4, 8, 494)])
 def test_slice_multidegrees_match_the_multigraded_superwitt_formula(
         m, top, count):
     # the basis words of F^n counted by letter multidegree: block
-    # dimensions are sums of these counts
+    # dimensions are sums of these counts, and each is the count that
+    # caps the candidates of its content class
     checked = 0
     for n in range(1, top + 1):
         counts = Counter(tuple(w.count(a) for a in range(1, m + 1))
@@ -756,27 +786,70 @@ def test_pivot_rule_keeps_the_basis_and_its_coords(m, top):
             assert ref.coords(terms) == sl.coords(terms), (m, n, trial)
 
 
+def _blocks(algebra, max_degree, loday=False):
+    # (columns, bound) of every block homology ranks, in order
+    blocks = []
+
+    def keeping(vectors, upper=None):
+        blocks.append((list(vectors), upper))
+        return rank(*blocks[-1])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexes, "rank", keeping)
+        homology(algebra, max_degree, loday=loday)
+    return blocks
+
+
+def _exact_pass_entries(cols, pick):
+    # rank and stored entries of rank()'s exact pass with its pivots
+    # taken by pick: with no stop, the pass calls max only to pivot each
+    # row it stores
+    sizes = []
+
+    def recording(row):
+        sizes.append(len(row))
+        return pick(row)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactla, "max", recording, raising=False)
+        r = exactla._rank_pass(cols)
+    return r, sum(sizes)
+
+
 def test_highest_index_pivots_fill_in_less():
-    # the slice echelon and the exact fallback of rank() store fewer
-    # entries than the lowest-index rule on the same inserts
+    # the slice echelon and the exact pass of rank() store fewer entries
+    # than the lowest-index rule on the same inputs
     sl = free_lie_basis(3, 8)
     assert _stored_entries(sl.echelon) < _stored_entries(
         _leftmost_slice(3, 8).echelon)
+    cols, _ = max(_blocks(catalog.get("doubleL2"), 6, loday=True),
+                  key=lambda block: block[1])
+    (r, highest), (r_min, lowest) = (_exact_pass_entries(cols, pick)
+                                     for pick in (max, min))
+    assert r == r_min == _echelon(cols, max).rank
+    assert highest < lowest
 
-    runs = []
-    echelon = exactla._echelon
 
-    def recording(rows, *pick):
-        runs.append((rows, echelon(rows, *pick)))
-        return runs[-1][1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exactla, "_echelon", recording)
-        homology(catalog.get("doubleL2"), max_degree=6, loday=True)
-    cols, ech = max(runs, key=lambda run: len(run[0]))
-    lowest = echelon(cols)
-    assert ech.pick is max and ech.rank == lowest.rank
-    assert _stored_entries(ech) < _stored_entries(lowest)
+def test_each_rank_path_matches_exact_elimination(monkeypatch):
+    # one block down each path of rank(), each against the echelon:
+    # certified where the exact pass meets the bound before its last
+    # column (sl2); switched to the modular pass on swelling (the top
+    # block of the sl2 conjugate); exact below the bound (a doubleL2
+    # --loday block that carries homology)
+    certified = max(_blocks(catalog.get("sl2"), 8),
+                    key=lambda block: len(block[0]))
+    swelled = _blocks(parse_algebra_file(SL2_CONJ0), 7)[-1]
+    below = max((b for b in _blocks(catalog.get("doubleL2"), 6, loday=True)
+                 if _echelon(b[0], max).rank < b[1]),
+                key=lambda block: len(block[0]))
+    passes = _rank_passes(monkeypatch)
+    for (cols, upper), want in ((certified, [(0, 105, 39)]),
+                                (swelled, [(0, 14, None), (_PRIME, 237, 91)]),
+                                (below, [(0, 120, 81)])):
+        passes.clear()
+        assert rank(cols, upper) == _echelon(cols, max).rank
+        assert passes == want
+    assert len(certified[0]) == 158 and below[1] == 84
 
 
 def test_coords_refuse_an_element_outside_the_span():
@@ -893,7 +966,7 @@ def test_symmetric_ideal_is_the_image_of_del_2(monkeypatch):
 
     monkeypatch.setattr(battery, "symmetric_ideal", ideals.__getitem__)
     monkeypatch.setattr(exactla, "_echelon", refusing)
-    monkeypatch.setattr(exactla, "_rank_mod_prime", refusing)
+    monkeypatch.setattr(exactla, "_rank_pass", refusing)
     monkeypatch.setattr(SparseEchelon, "__init__", refusing)
     monkeypatch.setattr(complexes.LieBasisSlice, "__init__", refusing)
     free_lie_basis.cache_clear()
@@ -1161,8 +1234,8 @@ def test_dgla_mixed_element_prints_by_degree():
     dg = DGLA(catalog.get("L2"), max_degree=3)
     x1, x2 = dg.word_element((1,)), dg.word_element((2,))
     d = dg.differential(x1)
-    el = (dg.word_element((2, 1, 1)) + d + x2 + dg.word_element((1, 2))
-          + 3 * x1)
+    el = dr_sum(dg.word_element((2, 1, 1)), d, x2, dg.word_element((1, 2)),
+                3 * x1)
     assert repr(el) == ("DR(gl{1: 1} + F1(3*1 + 1*2) + F2(1*12 + 1*21)"
                         " + F3(-2*112 + 2*211))")
     assert repr(dg.bracket(d, el)) == \

@@ -22,7 +22,7 @@ from leibcx import catalog
 from leibcx.complexes import DGLA, DRElement, dgla_suite
 from leibcx.report import jsonable
 from leibcx.words import _add_term, _combine
-from support import ordered_dgla_sweeps
+from support import dr_sum, ordered_dgla_sweeps
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 RECORD = os.path.join(HERE, "data", "sabotaged_batteries.json")
@@ -40,7 +40,7 @@ class OneSidedStray(DGLA):
     def bracket(self, a, b):
         out = super().bracket(a, b)
         stray = self._stray(a, b)
-        return out if stray is None else out + stray
+        return out if stray is None else dr_sum(out, stray)
 
 
 class ReversedStray(OneSidedStray):
@@ -108,7 +108,8 @@ class SkewGl(DGLA):
         out = super().bracket(a, b)
         skew = (a.gl.get(1, 0) * b.gl.get(2, 0)
                 - a.gl.get(2, 0) * b.gl.get(1, 0))
-        return out + skew * DRElement(self.project({3: 1})) if skew else out
+        return (dr_sum(out, skew * DRElement(self.project({3: 1}))) if skew
+                else out)
 
 
 class ShiftedAction(DGLA):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tokenize
 
 import pytest
 
@@ -51,6 +52,32 @@ def test_each_command_loads_only_the_modules_it_runs():
         code, loaded = json.loads(err.strip().splitlines()[-1])
         assert code == 0
         assert set(loaded) == _LOADS[argv], argv
+
+
+# The multiple of 2,048 parser tokens that each module homology compiles
+# sits under.  CPython 3.11 grows the parser's token array by doubling, so
+# a module's compile peak steps by about 116 KB at 2,048 and 4,096
+# tokens, and without a bytecode cache every cold job pays it.  A module
+# that crosses its step is a deliberate edit of this table.
+_TOKEN_STEPS = {"cli": 4096, "catalog": 2048, "algebras": 4096, "words": 2048,
+                "complexes": 4096, "exactla": 2048, "report": 2048}
+
+
+def _parser_tokens(path):
+    # the tokens the parser reads: those of tokenize but comments, blank
+    # lines' NL and the encoding marker
+    with open(path, "rb") as fh:
+        return sum(t.type not in (tokenize.COMMENT, tokenize.NL,
+                                  tokenize.ENCODING)
+                   for t in tokenize.tokenize(fh.readline))
+
+
+def test_homology_modules_stay_under_their_compile_step():
+    assert {f"leibcx.{name}" for name in _TOKEN_STEPS} == \
+        _HOMOLOGY - {"leibcx", "leibcx.errors"}
+    for name, step in _TOKEN_STEPS.items():
+        count = _parser_tokens(os.path.join(SRC, "leibcx", f"{name}.py"))
+        assert count < step, (name, count)
 
 
 def test_moved_names_are_the_objects_of_their_new_homes():

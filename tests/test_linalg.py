@@ -6,12 +6,16 @@ from math import gcd
 
 from leibcx import exactla
 from leibcx.exactla import (_PRIME, SparseEchelon, _gcd_normalize,
-                            _rank_mod_prime, nullspace, rank, rref,
-                            transpose)
+                            _rank_pass, nullspace, rank, rref, transpose)
 
 
 def F(x):
     return Fraction(x)
+
+
+def _rank_mod_prime(vectors, stop=None):
+    # rank()'s modular pass
+    return _rank_pass(vectors, stop, _PRIME)
 
 
 def test_echelon_rank_and_membership():
@@ -162,27 +166,42 @@ def test_rank_pulls_no_column_past_the_bound():
     assert pulls == []
 
 
+def _recording_passes(monkeypatch):
+    # each _rank_pass as it runs: (p, the vectors it pulled, its result)
+    passes = []
+    inner = exactla._rank_pass
+
+    def recording(vectors, stop=None, p=0):
+        pulled = []
+        passes.append((p, pulled, inner(_counting(vectors, pulled), stop, p)))
+        return passes[-1][2]
+
+    monkeypatch.setattr(exactla, "_rank_pass", recording)
+    return passes
+
+
 def test_rank_fallback_sees_every_column(monkeypatch):
-    # the bound is not met (an unlucky prime, then nonzero homology), so
-    # exact elimination must rank the columns the modular pass pulled
-    for vecs, upper, want in (
-            ([{0: 1, 1: 1}, {0: 1, 1: 1 + _PRIME}], 2, 2),
-            ([{0: 1}, {1: 1}, {0: 2, 1: 2}], 3, 2)):
-        pulls = []
-        assert rank(_counting(vecs, pulls), upper=upper) == want
-        assert pulls == vecs
-
-    # a modular pass that gives up after one column: the fallback ranks
-    # that column and the rest
-    def first_only(vectors, stop=None):
-        next(iter(vectors))
-        return -1
-
-    monkeypatch.setattr(exactla, "_rank_mod_prime", first_only)
-    vecs = [{0: 1}, {1: Fraction(1, 2)}, {0: 1, 1: 1}, {2: 3}]
+    # a stored exact row past 32 bits swells: the modular pass ranks the
+    # columns the exact pass pulled, then the rest, and stops at the
+    # bound; when it misses the bound (here an unlucky prime) exact
+    # elimination ranks every column
+    big = 2 ** 40
+    assert big >> exactla._SWELL
+    passes = _recording_passes(monkeypatch)
+    vecs = [{0: 1, 1: big + 1}, {1: 1}, {2: 1}]
     pulls = []
-    assert rank(_counting(vecs, pulls), upper=3) == 3
+    assert rank(_counting(vecs, pulls), upper=2) == 2
+    assert pulls == vecs[:2]
+    assert passes == [(0, vecs[:1], None), (_PRIME, vecs[:2], 2)]
+    passes.clear()
+    vecs = [{0: 1, 1: big}, {0: 1, 1: big + _PRIME}, {0: 2, 1: 2 * big}]
+    pulls = []
+    assert rank(_counting(vecs, pulls), upper=2) == 2
     assert pulls == vecs
+    assert passes == [(0, vecs[:1], None), (_PRIME, vecs, 1), (0, vecs, 2)]
+    # no bound, no switch: the exact pass keeps its swollen rows
+    passes.clear()
+    assert rank(vecs) == 2 and passes == [(0, vecs, 2)]
 
 
 def test_rank_mod_prime_stops_at_stop():
@@ -384,24 +403,28 @@ def test_echelon_matches_all_rows_reference():
 def test_rank_mod_prime_matches_exact_rank():
     # a lower bound that the dependencies of random rational vectors
     # do not escape: each combination is dependent mod p as well.  The
-    # modular pass and the exact fallback of rank() (forced by a bound
-    # one past the count) pivot at the highest index; the rank is that
-    # of either rule
+    # modular pass and the exact pass of rank() pivot at the highest
+    # index; the rank is that of either rule.  A bound one past the
+    # count is never met: where a row swells past 32 bits (6 of the 20
+    # trials) the modular pass misses it and exact elimination decides
     rng = random.Random(7)
+    swelled = 0
     for trial in range(20):
         ncols = rng.choice((6, 16))
         vecs = [_random_vector(rng, ncols, rng.choice((0.2, 0.9)), trial % 2)
                 for _ in range(rng.randint(1, ncols))]
         vecs += [_random_combination(rng, vecs) for _ in range(4)]
         rng.shuffle(vecs)
-        ranks = {_rank_mod_prime(vecs), rank(vecs),
+        ranks = {_rank_mod_prime(vecs), rank(vecs), _rank_pass(vecs),
                  rank(vecs, upper=len(vecs) + 1)}
+        swelled += _rank_pass(vecs, len(vecs) + 1) is None
         for pick in (min, max):
             ech = SparseEchelon(pick)
             for v in vecs:
                 ech.insert(v)
             ranks.add(ech.rank)
         assert len(ranks) == 1, trial
+    assert swelled == 6
 
 
 def _dense_rank_mod_prime(vecs, ncols):
